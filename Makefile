@@ -72,12 +72,11 @@ chaos:
 	$(GO) run ./cmd/fhdnn poison | tee poison-experiments.txt
 
 # Refresh the tracked kernel baseline (BENCH_pr8.json: per-kernel rows at
-# workers 1/2/4/8 with speedups and scaling factors, shard sweep embedded)
-# and the standalone sharded aggregation sweep (BENCH_pr7.json), then run
-# the full benchmark suite. BENCH_pr3.json is the frozen PR-3 baseline;
-# per-PR trajectory lives in BENCH_pr8.json from here on.
+# workers 1/2/4/8 with speedups and scaling factors), then run the full
+# benchmark suite. BENCH_pr3.json and BENCH_pr7.json (the removed sharded
+# aggregation sweep) are frozen history.
 bench:
-	$(GO) run ./cmd/fhdnn-bench -out BENCH_pr8.json -shard-out BENCH_pr7.json
+	$(GO) run ./cmd/fhdnn-bench -out BENCH_pr8.json
 	$(GO) test -bench=. -benchmem ./...
 
 # Quick CI variant: one-worker baseline plus the workers=2 point, no
@@ -85,13 +84,13 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/fhdnn-bench -workers 1,2 -out BENCH_pr8.json
 
-# Load-harness smoke: 1k clients over real HTTP against a 4-shard
-# in-process server with a mixed codec cycle and 2% poisoners, under the
+# Load-harness smoke: 1k clients over real HTTP against an in-process
+# server with a mixed codec cycle and 2% poisoners, under the
 # race detector. CI runs this and uploads the JSON report as an artifact;
 # the full-scale run is `go run ./cmd/fhdnn-loadgen` (100k clients).
 loadgen:
 	$(GO) run -race ./cmd/fhdnn-loadgen -clients 1000 -concurrency 64 -rounds 2 \
-		-shards 4 -dim 256 -poison-frac 0.02 \
+		-dim 256 -poison-frac 0.02 \
 		-codecs legacy,raw,float16,int8,topk:0.25 -out loadgen-report.json
 
 # Everything a change must pass before review.

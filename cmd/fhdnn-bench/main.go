@@ -4,12 +4,8 @@
 // tracked JSON baseline (BENCH_pr8.json): one row per (kernel, workers)
 // with ns/op, MB/s and allocs/op, a speedups entry per kernel (blocked vs
 // naive at one worker), and per-kernel scaling factors relative to the
-// one-worker row. It also sweeps the sharded aggregation tree across shard
-// counts (1/2/4/8), serial and with one owner goroutine per shard — the
-// shard sweep is embedded in the main report and can additionally be
-// written standalone (BENCH_pr7.json schema) via -shard-out. Run it via
-// `make bench`; commit the refreshed files when kernel or aggregation work
-// changes the numbers on the reference runner.
+// one-worker row. Run it via `make bench`; commit the refreshed file when
+// kernel work changes the numbers on the reference runner.
 package main
 
 import (
@@ -21,19 +17,16 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
-	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
 	"fhdnn/internal/tensor"
 )
 
 // Result is one benchmark row. MBPerS is derived from the operand bytes a
 // single iteration touches (inputs + outputs, each counted once). Workers
-// is the tensor pool size the row ran under (for shard rows: the number of
-// concurrent owner goroutines), recorded per row because a single report
-// now mixes worker counts.
+// is the tensor pool size the row ran under, recorded per row because a
+// single report mixes worker counts.
 type Result struct {
 	Name        string  `json:"name"`
 	Workers     int     `json:"workers"`
@@ -57,7 +50,6 @@ type Report struct {
 	Results     []Result                      `json:"results"`
 	Speedups    map[string]float64            `json:"speedups"`
 	Scaling     map[string]map[string]float64 `json:"scaling"`
-	Shard       *ShardReport                  `json:"shard,omitempty"`
 }
 
 // naiveMatMulInto replicates the pre-blocking MatMul kernel (i-k-j AXPY
@@ -158,110 +150,6 @@ func run(name string, workers int, bytesPerOp int64, fn func()) Result {
 	return res
 }
 
-// ShardReport is the schema of BENCH_pr7.json: one aggregation round
-// (Add every update, fold, commit) per op, swept over shard counts.
-type ShardReport struct {
-	GoVersion string             `json:"go_version"`
-	GOARCH    string             `json:"goarch"`
-	NumCPU    int                `json:"num_cpu"`
-	Updates   int                `json:"updates"`
-	Dim       int                `json:"dim"`
-	Results   []Result           `json:"results"`
-	Speedups  map[string]float64 `json:"speedups"`
-}
-
-// shardSweep benchmarks the sharded aggregation tree at 1/2/4/8 shards:
-// serially (same goroutine adds everything — measures the pure fold
-// overhead vs a flat aggregator) and partitioned (one owner goroutine per
-// shard, the concurrency contract the flnet server runs under).
-func shardSweep() (*ShardReport, error) {
-	const n, d = 64, 10000
-	rng := rand.New(rand.NewSource(7))
-	ups := make([]fedcore.Update, n)
-	for i := range ups {
-		params := make([]float32, d)
-		for j := range params {
-			params[j] = float32(rng.NormFloat64())
-		}
-		ups[i] = fedcore.Update{Params: params, Samples: 1, ClientID: fmt.Sprintf("edge-%03d", i)}
-	}
-	global := make([]float32, d)
-	roundBytes := int64((n*d + d) * 4)
-
-	rep := &ShardReport{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Updates:   n,
-		Dim:       d,
-		Speedups:  map[string]float64{},
-	}
-	byName := map[string]Result{}
-	add := func(name string, workers int, fn func()) {
-		res := run(name, workers, roundBytes, fn)
-		byName[name] = res
-		rep.Results = append(rep.Results, res)
-	}
-
-	flat := &fedcore.Bundle{}
-	add("FlatRound", 1, func() {
-		flat.Reset()
-		for _, u := range ups {
-			flat.Add(u)
-		}
-		flat.Commit(global)
-	})
-	for _, shards := range []int{1, 2, 4, 8} {
-		sh, err := fedcore.NewSharded(shards, func() fedcore.Aggregator { return &fedcore.Bundle{} })
-		if err != nil {
-			return nil, err
-		}
-		add(fmt.Sprintf("ShardedRound%d", shards), 1, func() {
-			sh.Reset()
-			for _, u := range ups {
-				sh.Add(u)
-			}
-			sh.Commit(global)
-		})
-		// Pre-route once; the partitioned benchmark measures concurrent
-		// shard-owner ingest, not the hash.
-		buckets := make([][]fedcore.Update, shards)
-		for _, u := range ups {
-			i := sh.ShardFor(u)
-			buckets[i] = append(buckets[i], u)
-		}
-		add(fmt.Sprintf("ShardedRoundOwners%d", shards), shards, func() {
-			sh.Reset()
-			var wg sync.WaitGroup
-			for i := 0; i < shards; i++ {
-				i := i
-				wg.Add(1)
-				//fhdnn:allow goroutine one owner goroutine per shard, joined before the fold — the flnet partitioned-ingest contract
-				go func() {
-					for _, u := range buckets[i] {
-						sh.Shard(i).Add(u)
-					}
-					wg.Done()
-				}()
-			}
-			wg.Wait()
-			sh.Commit(global)
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		serial := byName[fmt.Sprintf("ShardedRound%d", shards)]
-		owners := byName[fmt.Sprintf("ShardedRoundOwners%d", shards)]
-		rep.Speedups[fmt.Sprintf("owners%d_vs_flat", shards)] =
-			float64(byName["FlatRound"].NsPerOp) / float64(owners.NsPerOp)
-		rep.Speedups[fmt.Sprintf("sharded%d_overhead_vs_flat", shards)] =
-			float64(serial.NsPerOp) / float64(byName["FlatRound"].NsPerOp)
-	}
-	for _, k := range []string{"owners2_vs_flat", "owners4_vs_flat", "owners8_vs_flat"} {
-		fmt.Printf("speedup %-24s %.2fx\n", k, rep.Speedups[k])
-	}
-	return rep, nil
-}
-
 func writeJSON(path string, v any) error {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -296,7 +184,6 @@ func parseWorkers(s string) ([]int, error) {
 
 func main() {
 	out := flag.String("out", "BENCH_pr8.json", "output JSON path ('' to skip writing)")
-	shardOut := flag.String("shard-out", "", "also write the shard sweep standalone in the BENCH_pr7.json schema ('' to skip)")
 	workersFlag := flag.String("workers", "1,2,4,8", "comma-separated tensor worker counts to sweep")
 	flag.Parse()
 
@@ -419,20 +306,6 @@ func main() {
 		if len(m) > 0 {
 			rep.Scaling[name] = m
 			fmt.Printf("scaling %-20s %v\n", name, m)
-		}
-	}
-
-	tensor.SetWorkers(origWorkers)
-	shard, err := shardSweep()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fhdnn-bench:", err)
-		os.Exit(1)
-	}
-	rep.Shard = shard
-	if *shardOut != "" {
-		if err := writeJSON(*shardOut, shard); err != nil {
-			fmt.Fprintln(os.Stderr, "fhdnn-bench:", err)
-			os.Exit(1)
 		}
 	}
 

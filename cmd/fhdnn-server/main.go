@@ -22,12 +22,8 @@
 // minority of poisoned clients that the quarantine gate cannot catch
 // (finite, norm-respecting, but adversarial updates).
 //
-// Scale: -shards splits aggregation across per-shard goroutines (client
-// uploads hash-route by identity, round commits fold the shards), with
-// -shard-queue bounding each shard's ingest queue (full queue answers
-// 429 + Retry-After) and -commit-timeout bounding how long the round
-// commit waits for a straggling shard before degrading to partial
-// aggregation without it.
+// Backpressure: the server handles at most 256 uploads at once and
+// answers the next one 429 + Retry-After, which flnet clients honor.
 //
 // When -rounds is reached the server stops accepting updates and, if
 // -checkpoint is set, writes the final global model there.
@@ -79,9 +75,6 @@ func run() error {
 	deadline := flag.Duration("round-deadline", 0, "force-close a round after this long (0 = wait for min-updates)")
 	maxNorm := flag.Float64("max-update-norm", 0, "quarantine updates with a larger L2 norm (0 = only non-finite)")
 	aggSpec := flag.String("aggregator", "bundle", "aggregation policy: bundle, fedavg, median, trimmed[:frac], clip:bound[:inner]")
-	shards := flag.Int("shards", 1, "aggregation shards (client uploads hash-route to per-shard goroutines)")
-	shardQueue := flag.Int("shard-queue", 0, "per-shard ingest queue depth; full queue answers 429 (0 = default 256)")
-	commitTimeout := flag.Duration("commit-timeout", 0, "how long a round commit waits for a shard before declaring it dead (0 = default 2s)")
 	checkpoint := flag.String("checkpoint", "", "write the final model to this file")
 	faultRate := flag.Float64("fault-rate", 0, "inject 503s for this fraction of requests (chaos rehearsal)")
 	faultLatency := flag.Duration("fault-latency", 0, "inject this much latency per request")
@@ -100,9 +93,6 @@ func run() error {
 		RoundDeadline: *deadline,
 		MaxUpdateNorm: *maxNorm,
 		Aggregator:    agg,
-		Shards:        *shards,
-		ShardQueue:    *shardQueue,
-		CommitTimeout: *commitTimeout,
 	})
 	if err != nil {
 		return err
@@ -111,8 +101,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	log.Printf("aggregating %dx%d HD models at http://%s (min %d updates/round, %d rounds, deadline %v, %s aggregation across %d shard(s))",
-		*classes, *dim, ln.Addr(), *minUpdates, *rounds, *deadline, fedcore.AggregatorName(agg), *shards)
+	log.Printf("aggregating %dx%d HD models at http://%s (min %d updates/round, %d rounds, deadline %v, %s aggregation)",
+		*classes, *dim, ln.Addr(), *minUpdates, *rounds, *deadline, fedcore.AggregatorName(agg))
 	codecNames := make([]string, 0, len(fedcore.AllCodecIDs()))
 	for _, id := range fedcore.AllCodecIDs() {
 		codecNames = append(codecNames, fedcore.CodecName(id))
@@ -174,13 +164,9 @@ func run() error {
 	}
 
 	st := srv.Stats()
-	log.Printf("final stats: %d accepted, %d rejected, %d quarantined, %d duplicates, %d deadline-forced rounds, %d bytes received",
-		st.UpdatesAccepted, st.UpdatesRejected, st.UpdatesQuarantined,
-		st.DuplicateUpdates, st.RoundsForcedByDeadline, st.BytesReceived)
-	if st.UpdatesThrottled > 0 || st.ShardTimeouts > 0 || st.PartialCommits > 0 || st.DeadShards > 0 {
-		log.Printf("shard health: %d throttled (429), %d shard timeouts, %d partial commits, %d dead shard(s)",
-			st.UpdatesThrottled, st.ShardTimeouts, st.PartialCommits, st.DeadShards)
-	}
+	log.Printf("final stats: %d accepted, %d rejected, %d quarantined, %d duplicates, %d throttled (429), %d malformed, %d deadline-forced rounds, %d bytes received",
+		st.UpdatesAccepted, st.UpdatesRejected, st.UpdatesQuarantined, st.DuplicateUpdates,
+		st.UpdatesThrottled, st.UpdatesMalformed, st.RoundsForcedByDeadline, st.BytesReceived)
 	if len(st.QuarantinedByReason) > 0 {
 		parts := make([]string, 0, len(st.QuarantinedByReason))
 		for _, reason := range sortedKeys(st.QuarantinedByReason) {

@@ -9,8 +9,8 @@ import (
 // Rule atomicmix: a variable accessed through the sync/atomic functions
 // anywhere in the module must never be read or written plainly elsewhere.
 // A mixed access pattern is a data race the type system cannot see: the
-// stats layer (internal/flnet/stats.go) publishes counters that shard
-// goroutines bump while scrapes read them, and one plain `s.count++`
+// stats layer (internal/flnet/stats.go) publishes counters that upload
+// handlers bump while scrapes read them, and one plain `s.count++`
 // next to an atomic.AddInt64(&s.count, 1) silently loses updates on
 // weakly-ordered hardware.
 //

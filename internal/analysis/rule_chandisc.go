@@ -30,10 +30,10 @@ import (
 //     every send the fixpoint sees).
 //  3. bounded queue — a queue must be created with an explicit capacity:
 //     make(chan T) assigned to a name containing "queue" or "jobs" (the
-//     module's queue naming convention, cf. internal/flnet's ingest
-//     queue) is a finding. An unbuffered queue turns every producer into
-//     a synchronous rendezvous and the backpressure contract (PR 7's
-//     shard tree) silently degrades into blocking chains.
+//     module's queue naming convention, cf. the fhdnn-loadgen jobs
+//     channel) is a finding. An unbuffered queue turns every producer
+//     into a synchronous rendezvous and a backpressure contract silently
+//     degrades into blocking chains.
 //
 // Channel identity is the *types.Var def, as in goleak. All checks are
 // intraprocedural; ownership that crosses function boundaries by design

@@ -12,16 +12,15 @@ const arrowOp = token.ARROW
 
 // Rule goleak: every goroutine spawned in the concurrency packages
 // (internal/flnet, internal/fedcore, internal/faults, internal/tensor and
-// the cmd binaries) must have a provable exit path. The server is a
-// streaming shard tree of long-lived goroutines; one worker stuck on a
-// channel op whose counterparty has exited is an invisible leak that only
-// shows up as a fleet slowly running out of memory.
+// the cmd binaries) must have a provable exit path. One worker stuck on
+// a channel op whose counterparty has exited is an invisible leak that
+// only shows up as a fleet slowly running out of memory.
 //
 // The rule is module-wide: goroutine bodies are the function literals and
 // named functions launched by go statements (spawn sites recorded on the
 // call graph), plus every function classified goroutine-only — reachable
-// exclusively from spawned code (callGraph.goroutineOnly), like the shard
-// handle helpers that run only under runShard.
+// exclusively from spawned code (callGraph.goroutineOnly), like a
+// worker's per-item helper that only its pool goroutine calls.
 //
 // Per body, four checks, each anchored in what is statically provable:
 //

@@ -203,7 +203,8 @@ func Retryable(err error) bool {
 	var thr ErrThrottled
 	if errors.As(err, &thr) {
 		// Backpressure, not failure: the same bytes will be accepted once
-		// the shard queue drains, so waiting and resending is correct.
+		// the server's in-flight uploads drain, so waiting and resending
+		// is correct.
 		return true
 	}
 	var he *HTTPError
@@ -233,7 +234,7 @@ func (c *Client) withRetry(ctx context.Context, fn func() error) error {
 		}
 		// A throttled upload carries the server's Retry-After hint; honor
 		// it as a floor under the backoff so a fleet does not stampede the
-		// shard queue the moment it reopens.
+		// server the moment it has room again.
 		var floor time.Duration
 		var thr ErrThrottled
 		if errors.As(err, &thr) {
@@ -336,7 +337,7 @@ func (e ErrQuarantined) Error() string {
 }
 
 // ErrThrottled is returned by PushUpdate when the server answered 429:
-// the update's aggregation shard has a full ingest queue. The update is
+// the server already has too many uploads in flight. The update is
 // fine — resend it after RetryAfter (the server's Retry-After hint, zero
 // if the server gave none). Under a RetryPolicy, PushUpdate retries this
 // automatically, sleeping at least RetryAfter between attempts.

@@ -10,9 +10,10 @@
 //	GET  /v1/round            -> {"round":N,"updatesPending":k,"closed":bool}
 //	GET  /v1/model            -> binary global model, X-FHDnn-Round header
 //	GET  /v1/stats            -> cumulative counters (rounds, updates, bytes)
-//	POST /v1/update?round=N   -> client update; 409 if N is stale,
-//	                             422 if quarantined, 429 + Retry-After if
-//	                             the shard queue is full, 410 after close
+//	POST /v1/update?round=N   -> client update; 202 if accepted, 400 if
+//	                             malformed, 409 if N is stale, 422 if
+//	                             quarantined, 429 + Retry-After if too
+//	                             many uploads are in flight, 410 after close
 //
 // An update body is either the legacy hdc model serialization
 // (Content-Type application/octet-stream) or a fedcore wire envelope
@@ -24,17 +25,18 @@
 // mismatch, codec errors — are quarantined with HTTP 422, the same path
 // that refuses non-finite updates.
 //
-// Aggregation is hierarchical and streaming (see shard.go): uploads are
-// hash-routed by client identity onto ServerConfig.Shards shard
-// goroutines with bounded queues, each folding updates into its slice of
-// a fedcore.ShardedAggregator as they arrive. A full shard queue answers
-// 429 with a Retry-After hint — backpressure instead of unbounded
-// buffering. A round closes when MinUpdates client models have arrived,
-// or — when a RoundDeadline is configured — when the deadline expires
-// with at least one update pending (partial aggregation; an empty round
-// is carried forward). The commit is a fan-in barrier across the shards;
-// a shard that misses the barrier is declared dead and the round commits
-// without it rather than stalling the federation. Clients may identify
+// Aggregation is one element-wise sum of prototypes (paper Eq. 1) and
+// runs inline in the upload handler. The handler reads, decodes and
+// gates its update with no lock held, then takes Server.mu once to check
+// the round, dedupe the client, Add the update into the server's single
+// fedcore.Aggregator and — for the MinUpdates-th update of the round —
+// commit the round before unlocking; the response is written after. At
+// most maxInFlight uploads are handled at once: the next one is answered
+// 429 with a Retry-After hint before its body is read, backpressure
+// instead of unbounded buffering. A round closes when MinUpdates client
+// models have arrived, or — when a RoundDeadline is configured — when
+// the deadline expires with at least one update pending (partial
+// aggregation; an empty round is carried forward). Clients may identify
 // themselves with the X-FHDnn-Client header; a second update from the
 // same client in one round is accepted idempotently but not aggregated
 // twice, which makes client-side retries safe. Updates containing
@@ -46,9 +48,9 @@
 // Byzantine-robust policy (coordinate-wise median, trimmed mean, or
 // norm-clipping; see fedcore.ParseAggregator) for deployments where a
 // colluding minority of in-bound poisoners would sail straight through
-// the quarantine gates. GET /v1/stats reports the active policy, a
-// per-reason quarantine breakdown, how many updates the policy clipped,
-// and the per-shard queue/drop/commit/death breakdown.
+// the quarantine gates. GET /v1/stats books every upload in exactly one
+// outcome counter and reports the active policy, a per-reason quarantine
+// breakdown, and how many updates the policy clipped.
 package flnet
 
 import (
@@ -68,15 +70,13 @@ import (
 
 	"fhdnn/internal/fedcore"
 	"fhdnn/internal/hdc"
-	"fhdnn/internal/invariant"
 )
 
 // RoundHeader is the response header carrying the server's current round.
 const RoundHeader = "X-FHDnn-Round"
 
 // ClientHeader is the optional request header identifying the sending
-// client; the server deduplicates updates per (client, round) and routes
-// the client to its aggregation shard by hashing this identity.
+// client; the server deduplicates updates per (client, round).
 const ClientHeader = "X-FHDnn-Client"
 
 // CodecsHeader is the response header on /v1/round and /v1/model
@@ -125,27 +125,9 @@ type ServerConfig struct {
 	// rule with another server policy — fedcore.Median, TrimmedMean, or
 	// NormClip for Byzantine robustness (see fedcore.ParseAggregator for
 	// the spec grammar). The instance donates its canonical policy spec:
-	// the server re-instantiates it once per shard, so it must round-trip
-	// through ParseAggregator. To shard the tree, set Shards here rather
-	// than passing a fedcore.ShardedAggregator.
+	// the server builds its own fresh instance from it, so it must
+	// round-trip through ParseAggregator.
 	Aggregator fedcore.Aggregator
-	// Shards splits aggregation across this many shard goroutines, each
-	// owning one slice of a fedcore.ShardedAggregator (clients hash to a
-	// shard by identity). 0 defaults to 1 — the flat single-aggregator
-	// behavior, minus the global round mutex.
-	Shards int
-	// ShardQueue bounds each shard's ingest queue; a full queue answers
-	// 429 with a Retry-After hint. 0 defaults to 256.
-	ShardQueue int
-	// CommitTimeout bounds how long the round commit waits for one shard
-	// to reach the fan-in barrier before declaring it dead and degrading
-	// to partial aggregation. Must comfortably exceed one aggregator Add.
-	// 0 defaults to 2s.
-	CommitTimeout time.Duration
-	// UploadTimeout bounds how long an upload handler waits for its
-	// shard's verdict; exceeding it answers 503 (the shard is wedged or
-	// dead but not yet written off). 0 defaults to 30s.
-	UploadTimeout time.Duration
 	// RetryAfter is the Retry-After hint on 429 responses. 0 defaults
 	// to 1s.
 	RetryAfter time.Duration
@@ -165,120 +147,75 @@ func (c ServerConfig) Validate() error {
 	if c.MaxUpdateNorm < 0 {
 		return fmt.Errorf("flnet: negative MaxUpdateNorm")
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("flnet: negative Shards")
-	}
-	if c.ShardQueue < 0 {
-		return fmt.Errorf("flnet: negative ShardQueue")
-	}
-	if c.CommitTimeout < 0 || c.UploadTimeout < 0 || c.RetryAfter < 0 {
-		return fmt.Errorf("flnet: negative shard timeout")
+	if c.RetryAfter < 0 {
+		return fmt.Errorf("flnet: negative RetryAfter")
 	}
 	return nil
 }
 
+// maxInFlight bounds the uploads handled at once. The next upload is
+// answered 429 with a Retry-After hint before its body is read, so a
+// burst costs the server one header parse per refused client instead of
+// a buffered payload.
+const maxInFlight = 256
+
 // Server is the federated aggregation endpoint. It is safe for concurrent
-// use: handlers are lock-free (atomics plus per-shard goroutine
-// ownership); the only mutex fences the global model buffer between the
-// round commit and snapshot reads.
+// use. One mutex guards the round state — the aggregator, the per-round
+// dedupe set, the global model and the deadline timer — and every write
+// of round, closed and pending; those three are atomics so GET /v1/round
+// and the handlers' early gates read them without the lock.
 type Server struct {
-	cfg           ServerConfig
-	aggName       string // canonical inner policy spec, for Stats
-	commitTimeout time.Duration
-	uploadTimeout time.Duration
-	retryAfter    time.Duration
+	cfg        ServerConfig
+	aggName    string // canonical policy spec, for Stats
+	retryAfter time.Duration
 
-	mu    sync.Mutex // guards model only
-	model *hdc.Model
+	mu            sync.Mutex
+	agg           fedcore.Aggregator
+	seen          map[string]bool // clients that contributed to the open round
+	model         *hdc.Model
+	deadlineTimer *time.Timer
 
-	round         atomic.Int64
-	closed        atomic.Bool
-	acceptedRound atomic.Int64 // updates accepted into the open round
-
-	sharded  *fedcore.ShardedAggregator
-	shards   []*shard
-	commitCh chan commitReq
-	stopAll  chan struct{}
-	stopOnce sync.Once
-
-	deadlineTimer *time.Timer // owned by the coordinator after NewServer
+	round    atomic.Int64
+	closed   atomic.Bool
+	pending  atomic.Int64 // updates aggregated into the open round
+	inFlight atomic.Int64 // uploads inside handleUpdate
 
 	stats *serverStats
 }
 
 // NewServer creates a server with a zero-initialized global model at
-// round 1 and starts its shard and commit-coordinator goroutines (call
-// Shutdown to stop them). If cfg.RoundDeadline is set, the round-1
-// deadline starts ticking immediately.
+// round 1. If cfg.RoundDeadline is set, the round-1 deadline starts
+// ticking immediately; call Shutdown to stop it.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	shardCount := cfg.Shards
-	if shardCount == 0 {
-		shardCount = 1
-	}
-	queueCap := cfg.ShardQueue
-	if queueCap == 0 {
-		queueCap = 256
 	}
 	spec := "bundle"
 	if cfg.Aggregator != nil {
 		spec = fedcore.AggregatorName(cfg.Aggregator)
 	}
-	if _, err := fedcore.ParseAggregator(spec); err != nil {
+	agg, err := fedcore.ParseAggregator(spec)
+	if err != nil {
 		return nil, fmt.Errorf("flnet: aggregator does not round-trip its spec %q: %w", spec, err)
 	}
-	sharded, err := fedcore.NewSharded(shardCount, func() fedcore.Aggregator {
-		a, perr := fedcore.ParseAggregator(spec)
-		if perr != nil {
-			invariant.Failf("flnet: validated aggregator spec %q failed to reparse: %v", spec, perr)
-		}
-		return a
-	})
-	if err != nil {
-		return nil, err
+	retryAfter := cfg.RetryAfter
+	if retryAfter == 0 {
+		retryAfter = time.Second
 	}
 	s := &Server{
-		cfg:           cfg,
-		aggName:       spec,
-		commitTimeout: defaultDur(cfg.CommitTimeout, 2*time.Second),
-		uploadTimeout: defaultDur(cfg.UploadTimeout, 30*time.Second),
-		retryAfter:    defaultDur(cfg.RetryAfter, time.Second),
-		model:         hdc.NewModel(cfg.NumClasses, cfg.Dim),
-		sharded:       sharded,
-		shards:        make([]*shard, shardCount),
-		commitCh:      make(chan commitReq, shardCount+4),
-		stopAll:       make(chan struct{}),
-		stats:         newServerStats(),
+		cfg:        cfg,
+		aggName:    spec,
+		retryAfter: retryAfter,
+		agg:        agg,
+		seen:       make(map[string]bool),
+		model:      hdc.NewModel(cfg.NumClasses, cfg.Dim),
+		stats:      newServerStats(),
 	}
 	s.round.Store(1)
-	for i := range s.shards {
-		s.shards[i] = &shard{
-			id:    i,
-			queue: make(chan shardAdd, queueCap),
-			ctl:   make(chan parkReq),
-			kill:  make(chan struct{}),
-			agg:   sharded.Shard(i),
-			seen:  make(map[string]bool),
-		}
-	}
-	// The first deadline is armed before the coordinator exists; every
-	// rearm after this happens on the coordinator goroutine, which any
-	// deadline firing reaches through commitCh.
+	s.mu.Lock()
 	s.armDeadline()
-	go s.coordinate()
-	for _, sh := range s.shards {
-		go s.runShard(sh)
-	}
+	s.mu.Unlock()
 	return s, nil
-}
-
-func defaultDur(d, fallback time.Duration) time.Duration {
-	if d <= 0 {
-		return fallback
-	}
-	return d
 }
 
 // Model returns a snapshot of the current global model and round.
@@ -296,21 +233,19 @@ func (s *Server) Round() int { return int(s.round.Load()) }
 func (s *Server) Closed() bool { return s.closed.Load() }
 
 // Shutdown closes the current round cleanly: pending updates are
-// aggregated into the global model, the deadline timer is stopped, all
-// further updates are refused with 410 Gone, and the shard and
-// coordinator goroutines exit. It is idempotent and safe to call while
-// handlers are in flight. The context is consulted only for early
-// cancellation.
+// aggregated into the global model, the deadline timer is stopped, and
+// all further updates are refused with 410 Gone. It is idempotent and
+// safe to call while handlers are in flight. The context is consulted
+// only for early cancellation.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.stopOnce.Do(func() {
-		done := make(chan struct{})
-		s.commitCh <- commitReq{reason: commitShutdown, done: done}
-		<-done
-		close(s.stopAll)
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed.Load() {
+		s.commitLocked(commitShutdown)
+	}
 	return nil
 }
 
@@ -333,13 +268,9 @@ type roundInfo struct {
 }
 
 func (s *Server) handleRound(w http.ResponseWriter, r *http.Request) {
-	var pending int64
-	for _, sh := range s.shards {
-		pending += sh.pending.Load()
-	}
 	info := roundInfo{
 		Round:          int(s.round.Load()),
-		UpdatesPending: int(pending),
+		UpdatesPending: int(s.pending.Load()),
 		MinUpdates:     s.cfg.MinUpdates,
 		Closed:         s.closed.Load(),
 	}
@@ -365,43 +296,24 @@ const (
 // Stats returns a snapshot of the cumulative counters.
 func (s *Server) Stats() Stats {
 	byReason, byCodec := s.stats.snapshotMaps()
-	per := make([]ShardStats, len(s.shards))
-	dead := 0
-	for i, sh := range s.shards {
-		per[i] = ShardStats{
-			Shard:      i,
-			Depth:      sh.depth.Load(),
-			Enqueued:   sh.enqueued.Load(),
-			Accepted:   sh.accepted.Load(),
-			Stale:      sh.stale.Load(),
-			Duplicates: sh.duplicates.Load(),
-			Dropped:    sh.dropped.Load(),
-			Commits:    sh.commits.Load(),
-			Pending:    sh.pending.Load(),
-			Dead:       sh.dead.Load(),
-		}
-		if per[i].Dead {
-			dead++
-		}
+	var clipped int64
+	if c, ok := s.agg.(interface{ Clipped() int64 }); ok {
+		clipped = c.Clipped()
 	}
 	return Stats{
 		Round:                  int(s.round.Load()),
 		Aggregator:             s.aggName,
-		Shards:                 len(s.shards),
 		UpdatesAccepted:        s.stats.updatesAccepted.Load(),
 		UpdatesRejected:        s.stats.updatesRejected.Load(),
 		UpdatesQuarantined:     s.stats.updatesQuarantined.Load(),
 		QuarantinedByReason:    byReason,
-		UpdatesClipped:         s.sharded.Clipped(),
+		UpdatesMalformed:       s.stats.updatesMalformed.Load(),
+		UpdatesClipped:         clipped,
 		DuplicateUpdates:       s.stats.duplicateUpdates.Load(),
 		UpdatesThrottled:       s.stats.updatesThrottled.Load(),
-		ShardTimeouts:          s.stats.shardTimeouts.Load(),
 		RoundsForcedByDeadline: s.stats.roundsForcedByDeadline.Load(),
-		PartialCommits:         s.stats.partialCommits.Load(),
-		DeadShards:             dead,
 		BytesReceived:          s.stats.bytesReceived.Load(),
 		UpdatesByCodec:         byCodec,
-		PerShard:               per,
 		Closed:                 s.closed.Load(),
 	}
 }
@@ -442,8 +354,17 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
+	if s.inFlight.Add(1) > maxInFlight {
+		s.inFlight.Add(-1)
+		s.stats.updatesThrottled.Add(1)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.retryAfter)))
+		http.Error(w, "flnet: too many uploads in flight, retry later", http.StatusTooManyRequests)
+		return
+	}
+	defer s.inFlight.Add(-1)
 	wantRound, err := strconv.Atoi(r.URL.Query().Get("round"))
 	if err != nil {
+		s.stats.updatesMalformed.Add(1)
 		http.Error(w, "flnet: missing or bad round parameter", http.StatusBadRequest)
 		return
 	}
@@ -496,24 +417,22 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			update, merr = hdc.DecodeModel(data)
 		}
 		if merr != nil {
+			s.stats.updatesMalformed.Add(1)
 			http.Error(w, "flnet: bad update payload: "+merr.Error(), http.StatusBadRequest)
 			return
 		}
 		if update.K != s.cfg.NumClasses || update.D != s.cfg.Dim {
+			s.stats.updatesMalformed.Add(1)
 			http.Error(w, fmt.Sprintf("flnet: update dims %dx%d, want %dx%d",
 				update.K, update.D, s.cfg.NumClasses, s.cfg.Dim), http.StatusBadRequest)
 			return
 		}
 		flat = update.Flat()
 	}
-	s.routeUpdate(w, wantRound, clientID, codecName, flat)
-}
 
-// routeUpdate runs the handler-side gates on a decoded update — closed,
-// stale round, quarantine — then enqueues it on its shard and waits for
-// the shard's verdict. A full shard queue is backpressure: 429 with a
-// Retry-After hint, the client's cue to pace itself.
-func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, codecName string, flat []float32) {
+	// The closed and stale gates run lock-free before the quarantine
+	// scan, so an update for a finished round is refused without reading
+	// it; ingest repeats them under the lock.
 	if s.closed.Load() {
 		s.stats.updatesRejected.Add(1)
 		http.Error(w, "flnet: training finished", http.StatusGone)
@@ -529,66 +448,129 @@ func (s *Server) routeUpdate(w http.ResponseWriter, wantRound int, clientID, cod
 		http.Error(w, "flnet: update quarantined: "+detail, http.StatusUnprocessableEntity)
 		return
 	}
-	sh := s.routeShard(clientID)
-	if sh == nil {
-		s.stats.shardTimeouts.Add(1)
-		http.Error(w, "flnet: every aggregation shard is dead", http.StatusServiceUnavailable)
-		return
-	}
-	msg := shardAdd{
-		round:    wantRound,
-		clientID: clientID,
-		codec:    codecName,
-		params:   flat,
-		reply:    make(chan addReply, 1),
-	}
-	select {
-	case sh.queue <- msg:
-		sh.depth.Add(1)
-		sh.enqueued.Add(1)
-	default:
-		sh.dropped.Add(1)
-		s.stats.updatesThrottled.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.retryAfter)))
-		http.Error(w, fmt.Sprintf("flnet: shard %d queue full, retry later", sh.id),
-			http.StatusTooManyRequests)
-		return
-	}
-	timer := time.NewTimer(s.uploadTimeout)
-	defer timer.Stop()
-	select {
-	case rep := <-msg.reply:
-		s.writeVerdict(w, wantRound, rep)
-	case <-s.stopAll:
-		// Server tore down under the in-flight update; prefer a verdict
-		// that raced in over a blanket 410.
-		select {
-		case rep := <-msg.reply:
-			s.writeVerdict(w, wantRound, rep)
-		default:
-			s.stats.updatesRejected.Add(1)
-			http.Error(w, "flnet: training finished", http.StatusGone)
-		}
-	case <-timer.C:
-		if s.closed.Load() {
-			s.stats.updatesRejected.Add(1)
-			http.Error(w, "flnet: training finished", http.StatusGone)
-			return
-		}
-		s.stats.shardTimeouts.Add(1)
-		http.Error(w, fmt.Sprintf("flnet: shard %d unresponsive", sh.id),
-			http.StatusServiceUnavailable)
-	}
-}
-
-func (s *Server) writeVerdict(w http.ResponseWriter, wantRound int, rep addReply) {
-	switch rep.verdict {
+	switch v, round := s.ingest(wantRound, clientID, codecName, flat); v {
 	case vAccepted, vDuplicate:
 		w.WriteHeader(http.StatusAccepted)
 	case vStale:
-		s.staleResponse(w, wantRound, rep.round)
+		s.staleResponse(w, wantRound, round)
 	case vClosed:
 		http.Error(w, "flnet: training finished", http.StatusGone)
+	}
+}
+
+type verdict int
+
+const (
+	vAccepted verdict = iota
+	vDuplicate
+	vStale
+	vClosed
+)
+
+// ingest folds one decoded, gate-checked update into the open round
+// under s.mu. The closed, round and duplicate checks are repeated under
+// the lock, since a commit may have landed after the handler's lock-free
+// gates. The MinUpdates-th update of the round commits it inline, so the
+// triggering client's 202 is written only after the round has advanced.
+// It returns the verdict and, for a stale update, the current round.
+//
+//fhdnn:hotpath per-update aggregation step, serialized on the server lock
+func (s *Server) ingest(wantRound int, clientID, codecName string, flat []float32) (verdict, int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		s.stats.updatesRejected.Add(1)
+		return vClosed, 0
+	}
+	round := int(s.round.Load())
+	if wantRound != round {
+		s.stats.updatesRejected.Add(1)
+		return vStale, round
+	}
+	if clientID != "" {
+		if s.seen[clientID] {
+			s.stats.duplicateUpdates.Add(1)
+			return vDuplicate, round
+		}
+		s.seen[clientID] = true
+	}
+	s.agg.Add(fedcore.Update{Params: flat, Round: round, ClientID: clientID, Samples: 1})
+	s.stats.accept(codecName)
+	if s.pending.Add(1) >= int64(s.cfg.MinUpdates) {
+		s.commitLocked(commitMinUpdates)
+	}
+	return vAccepted, round
+}
+
+type commitReason int
+
+const (
+	commitMinUpdates commitReason = iota
+	commitDeadline
+	commitShutdown
+)
+
+// commitLocked closes the current round; s.mu must be held. A non-empty
+// round is folded into the global model, the round state is reset and
+// the round advances, then the next deadline is armed — or the server
+// closes, after MaxRounds or on shutdown. An empty round is carried
+// forward, because the global model must not drift toward zero just
+// because every client stalled: a deadline re-arms, and a shutdown
+// closes with nothing to fold.
+func (s *Server) commitLocked(reason commitReason) {
+	if s.pending.Load() == 0 {
+		switch reason {
+		case commitDeadline:
+			s.armDeadline()
+		case commitShutdown:
+			s.closeLocked()
+		}
+		return
+	}
+	s.agg.Commit(s.model.Flat())
+	s.agg.Reset()
+	clear(s.seen)
+	s.pending.Store(0)
+	if reason == commitDeadline {
+		s.stats.roundsForcedByDeadline.Add(1)
+	}
+	next := s.round.Add(1)
+	if reason == commitShutdown || (s.cfg.MaxRounds > 0 && next > int64(s.cfg.MaxRounds)) {
+		s.closeLocked()
+	} else {
+		s.armDeadline()
+	}
+}
+
+// closeLocked refuses all further updates; s.mu must be held.
+func (s *Server) closeLocked() {
+	s.closed.Store(true)
+	s.stopDeadline()
+}
+
+// armDeadline (re)arms the deadline for the current round; s.mu must be
+// held. The timer's callback commits under the same lock, and a deadline
+// that fires for a round that has already closed is a no-op.
+func (s *Server) armDeadline() {
+	s.stopDeadline()
+	if s.cfg.RoundDeadline <= 0 || s.closed.Load() {
+		return
+	}
+	round := s.round.Load()
+	s.deadlineTimer = time.AfterFunc(s.cfg.RoundDeadline, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closed.Load() && s.round.Load() == round {
+			s.commitLocked(commitDeadline)
+		}
+	})
+}
+
+// stopDeadline cancels the pending deadline; s.mu must be held.
+func (s *Server) stopDeadline() {
+	if s.deadlineTimer != nil {
+		s.deadlineTimer.Stop()
+		s.deadlineTimer = nil
 	}
 }
 

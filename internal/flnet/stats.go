@@ -6,20 +6,18 @@ import (
 )
 
 // serverStats is the dedicated stats block: every counter a /v1/stats
-// scrape reads lives here, off the model mutex and off the shard hot
-// path. Scalar counters are atomics; the two per-key maps sit behind
-// their own tiny mutex that is only ever held across map ops (never
-// across channel or I/O work), so a scrape can never contend with shard
-// aggregation or a round commit.
+// scrape reads lives here, off the round lock. Scalar counters are
+// atomics; the two per-key maps sit behind their own tiny mutex that is
+// only ever held across map ops (never across channel or I/O work), so a
+// scrape can never wait on an upload's Add or a round commit.
 type serverStats struct {
 	updatesAccepted        atomic.Int64
 	updatesRejected        atomic.Int64
 	updatesQuarantined     atomic.Int64
 	duplicateUpdates       atomic.Int64
 	updatesThrottled       atomic.Int64
-	shardTimeouts          atomic.Int64
+	updatesMalformed       atomic.Int64
 	roundsForcedByDeadline atomic.Int64
-	partialCommits         atomic.Int64
 	bytesReceived          atomic.Int64
 
 	mu                  sync.Mutex
@@ -65,58 +63,35 @@ func (st *serverStats) snapshotMaps() (byReason, byCodec map[string]int64) {
 	return byReason, byCodec
 }
 
-// ShardStats is the per-shard block inside Stats: queue depth and drop
-// counts expose where backpressure is biting, commit counts how often the
-// shard reached the round barrier, and Dead marks a shard the commit
-// fan-in has written off (its updates degrade the round to partial
-// aggregation instead of stalling it).
-type ShardStats struct {
-	Shard      int   `json:"shard"`
-	Depth      int64 `json:"depth"`    // updates sitting in the queue right now
-	Enqueued   int64 `json:"enqueued"` // updates ever queued
-	Accepted   int64 `json:"accepted"`
-	Stale      int64 `json:"stale"`
-	Duplicates int64 `json:"duplicates"`
-	Dropped    int64 `json:"dropped"` // queue-full rejections (429)
-	Commits    int64 `json:"commits"` // round barriers this shard reached
-	Pending    int64 `json:"pending"` // accepted updates awaiting the next commit
-	Dead       bool  `json:"dead"`
-}
-
-// Stats is the JSON body of GET /v1/stats. BytesReceived counts the wire
-// bytes actually consumed from update bodies — for enveloped updates that
-// is the compressed size, so the endpoint directly reports the uplink
-// savings a codec buys. UpdatesByCodec breaks accepted updates down by
-// codec name ("legacy" for unenveloped posts). UpdatesQuarantined is the
-// total across QuarantinedByReason; UpdatesClipped counts updates the
+// Stats is the JSON body of GET /v1/stats. Every POST /v1/update lands
+// in exactly one outcome counter: UpdatesAccepted (202), DuplicateUpdates
+// (a repeated client's idempotent 202), UpdatesRejected (409 stale round
+// or 410 after close), UpdatesQuarantined (422, broken down by reason in
+// QuarantinedByReason), UpdatesThrottled (429, too many uploads in
+// flight) or UpdatesMalformed (400: a bad round parameter, an
+// unparseable legacy payload or wrong model dims). BytesReceived counts
+// the wire bytes actually consumed from update bodies — for enveloped
+// updates that is the compressed size, so the endpoint directly reports
+// the uplink savings a codec buys; a throttled upload's body is never
+// read. UpdatesByCodec breaks accepted updates down by codec name
+// ("legacy" for unenveloped posts). UpdatesClipped counts updates the
 // aggregation policy rescaled (nonzero only under a fedcore.NormClip
 // policy — a clipped update is still accepted, unlike a quarantined one).
-//
-// The sharding block: Shards is the configured shard count, UpdatesThrottled
-// counts 429 queue-full rejections, ShardTimeouts counts uploads whose
-// shard never answered within the upload timeout (a timed-out upload may
-// still be processed later, so under shard failure the per-outcome
-// counters can overlap with this one), PartialCommits counts rounds
-// committed with at least one dead shard excluded, DeadShards is how many
-// shards the commit barrier has written off, and PerShard carries the
-// per-shard queue/drop/commit breakdown.
 type Stats struct {
-	Round                  int              `json:"round"`
-	Aggregator             string           `json:"aggregator"`
-	Shards                 int              `json:"shards"`
-	UpdatesAccepted        int64            `json:"updatesAccepted"`
-	UpdatesRejected        int64            `json:"updatesRejected"`
-	UpdatesQuarantined     int64            `json:"updatesQuarantined"`
-	QuarantinedByReason    map[string]int64 `json:"quarantinedByReason,omitempty"`
-	UpdatesClipped         int64            `json:"updatesClipped"`
-	DuplicateUpdates       int64            `json:"duplicateUpdates"`
-	UpdatesThrottled       int64            `json:"updatesThrottled"`
+	Round               int              `json:"round"`
+	Aggregator          string           `json:"aggregator"`
+	UpdatesAccepted     int64            `json:"updatesAccepted"`
+	UpdatesRejected     int64            `json:"updatesRejected"`
+	UpdatesQuarantined  int64            `json:"updatesQuarantined"`
+	QuarantinedByReason map[string]int64 `json:"quarantinedByReason,omitempty"`
+	UpdatesMalformed    int64            `json:"updatesMalformed"`
+	UpdatesClipped      int64            `json:"updatesClipped"`
+	DuplicateUpdates    int64            `json:"duplicateUpdates"`
+	UpdatesThrottled    int64            `json:"updatesThrottled"`
+	// Deprecated: always 0; read by perfbench's outcome sum.
 	ShardTimeouts          int64            `json:"shardTimeouts"`
 	RoundsForcedByDeadline int64            `json:"roundsForcedByDeadline"`
-	PartialCommits         int64            `json:"partialCommits"`
-	DeadShards             int              `json:"deadShards"`
 	BytesReceived          int64            `json:"bytesReceived"`
 	UpdatesByCodec         map[string]int64 `json:"updatesByCodec,omitempty"`
-	PerShard               []ShardStats     `json:"perShard,omitempty"`
 	Closed                 bool             `json:"closed"`
 }
