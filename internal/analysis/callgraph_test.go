@@ -83,7 +83,7 @@ func TestCallGraphFixture(t *testing.T) {
 
 // TestCallGraphRepo checks dispatch expansion over the real module's two
 // central interfaces: fedcore.Aggregator (Engine.Run -> every aggregator
-// Add) and compress.Codec (DecodeEnvelope -> every codec Decode).
+// Add) and compress.Codec (DecodeEnvelope -> every codec DecodeInto).
 func TestCallGraphRepo(t *testing.T) {
 	l, err := newLoader("../..")
 	if err != nil {
@@ -109,9 +109,9 @@ func TestCallGraphRepo(t *testing.T) {
 
 	dec := lookupFunc(t, fed, "DecodeEnvelope")
 	for _, codec := range []string{"Raw", "Float16", "Int8", "TopK"} {
-		d := lookupMethod(t, comp, codec, "Decode")
+		d := lookupMethod(t, comp, codec, "DecodeInto")
 		if !hasCallee(g, dec, d) {
-			t.Errorf("DecodeEnvelope should dispatch to %s.Decode through compress.Codec", codec)
+			t.Errorf("DecodeEnvelope should dispatch to %s.DecodeInto through compress.Codec", codec)
 		}
 	}
 }

@@ -9,6 +9,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -18,10 +19,13 @@ import (
 type Codec interface {
 	// Encode serializes the update.
 	Encode(update []float32) []byte
-	// Decode reconstructs an update of length n from data. Structurally
-	// invalid payloads yield a *DecodeError; Decode never panics, since
-	// codec payloads now arrive from the network (see fedcore's envelope).
-	Decode(data []byte, n int) ([]float32, error)
+	// DecodeInto reconstructs an update of len(dst) values from data,
+	// overwriting every element of dst, so a recycled buffer never leaks
+	// values from an earlier update. Structurally invalid payloads yield a
+	// *DecodeError, after which dst holds unspecified values; DecodeInto
+	// never panics, since codec payloads arrive from the network (see
+	// fedcore's envelope).
+	DecodeInto(dst []float32, data []byte) error
 	// Name identifies the codec in reports.
 	Name() string
 }
@@ -63,16 +67,16 @@ func (Raw) Encode(update []float32) []byte {
 	return out
 }
 
-// Decode implements Codec.
-func (Raw) Decode(data []byte, n int) ([]float32, error) {
-	if len(data) != 4*n {
-		return nil, decodeErrf("raw", "payload %d bytes, want %d", len(data), 4*n)
+// DecodeInto implements Codec.
+func (Raw) DecodeInto(dst []float32, data []byte) error {
+	if len(data) != 4*len(dst) {
+		return decodeErrf("raw", "payload %d bytes, want %d", len(data), 4*len(dst))
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(getU32(data[4*i:]))
+	for i := range dst {
+		dst[i] = math.Float32frombits(getU32(data))
+		data = data[4:]
 	}
-	return out, nil
+	return nil
 }
 
 // ---- float16 ----------------------------------------------------------
@@ -95,17 +99,16 @@ func (Float16) Encode(update []float32) []byte {
 	return out
 }
 
-// Decode implements Codec.
-func (Float16) Decode(data []byte, n int) ([]float32, error) {
-	if len(data) != 2*n {
-		return nil, decodeErrf("float16", "payload %d bytes, want %d", len(data), 2*n)
+// DecodeInto implements Codec.
+func (Float16) DecodeInto(dst []float32, data []byte) error {
+	if len(data) != 2*len(dst) {
+		return decodeErrf("float16", "payload %d bytes, want %d", len(data), 2*len(dst))
 	}
-	out := make([]float32, n)
-	for i := range out {
-		h := uint16(data[2*i]) | uint16(data[2*i+1])<<8
-		out[i] = Float16ToFloat32(h)
+	for i := range dst {
+		dst[i] = Float16ToFloat32(uint16(data[0]) | uint16(data[1])<<8)
+		data = data[2:]
 	}
-	return out, nil
+	return nil
 }
 
 // Float32ToFloat16 converts with round-to-nearest-even, handling
@@ -205,17 +208,16 @@ func (Int8) Encode(update []float32) []byte {
 	return out
 }
 
-// Decode implements Codec.
-func (Int8) Decode(data []byte, n int) ([]float32, error) {
-	if len(data) != 4+n {
-		return nil, decodeErrf("int8", "payload %d bytes, want %d", len(data), 4+n)
+// DecodeInto implements Codec.
+func (Int8) DecodeInto(dst []float32, data []byte) error {
+	if len(data) != 4+len(dst) {
+		return decodeErrf("int8", "payload %d bytes, want %d", len(data), 4+len(dst))
 	}
 	scale := math.Float32frombits(uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24)
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = float32(int8(data[4+i])) * scale
+	for i := range dst {
+		dst[i] = float32(int8(data[4+i])) * scale
 	}
-	return out, nil
+	return nil
 }
 
 // ---- top-k sparsification ----------------------------------------------
@@ -262,22 +264,25 @@ func (c TopK) Encode(update []float32) []byte {
 	return out
 }
 
-// Decode implements Codec. Encode always emits strictly increasing
-// indices, so Decode requires them: an index that is out of range,
-// repeated, or out of order marks a corrupt (or adversarial) payload and
-// is rejected with a typed error rather than silently overwriting entries.
-func (c TopK) Decode(data []byte, n int) ([]float32, error) {
+// DecodeInto implements Codec. It clears dst first: the entries a top-k
+// payload does not carry are zeros, not whatever the buffer held. Encode
+// always emits strictly increasing indices, so DecodeInto requires them:
+// an index that is out of range, repeated, or out of order marks a
+// corrupt (or adversarial) payload and is rejected with a typed error
+// rather than silently overwriting entries.
+func (c TopK) DecodeInto(dst []float32, data []byte) error {
+	n := len(dst)
 	if len(data) < 4 {
-		return nil, decodeErrf("topk", "payload too short (%d bytes)", len(data))
+		return decodeErrf("topk", "payload too short (%d bytes)", len(data))
 	}
 	k := int(getU32(data))
 	if k < 0 || k > n {
-		return nil, decodeErrf("topk", "count %d out of range for %d values", k, n)
+		return decodeErrf("topk", "count %d out of range for %d values", k, n)
 	}
 	if len(data) != 4+8*k {
-		return nil, decodeErrf("topk", "payload %d bytes, want %d", len(data), 4+8*k)
+		return decodeErrf("topk", "payload %d bytes, want %d", len(data), 4+8*k)
 	}
-	out := make([]float32, n)
+	clear(dst)
 	prev := -1
 	for i := 0; i < k; i++ {
 		j := int(getU32(data[4+8*i:]))
@@ -285,32 +290,33 @@ func (c TopK) Decode(data []byte, n int) ([]float32, error) {
 		// negative; without the explicit check it would reach the
 		// monotonicity test with a misleading error.
 		if j < 0 || j >= n {
-			return nil, decodeErrf("topk", "index %d out of range %d", j, n)
+			return decodeErrf("topk", "index %d out of range %d", j, n)
 		}
 		if j <= prev {
 			if j == prev {
-				return nil, decodeErrf("topk", "duplicate index %d", j)
+				return decodeErrf("topk", "duplicate index %d", j)
 			}
-			return nil, decodeErrf("topk", "indices not strictly increasing at %d", j)
+			return decodeErrf("topk", "indices not strictly increasing at %d", j)
 		}
 		prev = j
-		out[j] = math.Float32frombits(getU32(data[8+8*i:]))
+		dst[j] = math.Float32frombits(getU32(data[8+8*i:]))
 	}
-	return out, nil
+	return nil
 }
 
 func putU32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
+func getU32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
 
 // RoundTrip compresses and decompresses, returning the reconstruction and
 // the compressed size in bytes.
 func RoundTrip(c Codec, update []float32) ([]float32, int, error) {
 	data := c.Encode(update)
-	out, err := c.Decode(data, len(update))
-	return out, len(data), err
+	out := make([]float32, len(update))
+	if err := c.DecodeInto(out, data); err != nil {
+		return nil, len(data), err
+	}
+	return out, len(data), nil
 }

@@ -185,20 +185,20 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := (Float16{}).Decode([]byte{1, 2, 3}, 2); err == nil {
+	if err := (Float16{}).DecodeInto(make([]float32, 2), []byte{1, 2, 3}); err == nil {
 		t.Fatal("float16 bad length accepted")
 	}
-	if _, err := (Int8{}).Decode([]byte{1, 2}, 4); err == nil {
+	if err := (Int8{}).DecodeInto(make([]float32, 4), []byte{1, 2}); err == nil {
 		t.Fatal("int8 bad length accepted")
 	}
-	if _, err := (TopK{Frac: 0.5}).Decode([]byte{1}, 4); err == nil {
+	if err := (TopK{Frac: 0.5}).DecodeInto(make([]float32, 4), []byte{1}); err == nil {
 		t.Fatal("topk short payload accepted")
 	}
 	// out-of-range index
 	bad := make([]byte, 4+8)
 	putU32(bad, 1)
 	putU32(bad[4:], 99)
-	if _, err := (TopK{Frac: 0.5}).Decode(bad, 4); err == nil {
+	if err := (TopK{Frac: 0.5}).DecodeInto(make([]float32, 4), bad); err == nil {
 		t.Fatal("topk bad index accepted")
 	}
 	// index with the top bit set: wraps negative on 32-bit platforms,
@@ -207,7 +207,7 @@ func TestDecodeErrors(t *testing.T) {
 	wrap := make([]byte, 4+8)
 	putU32(wrap, 1)
 	putU32(wrap[4:], 0x80000000)
-	if _, err := (TopK{Frac: 0.5}).Decode(wrap, 4); err == nil {
+	if err := (TopK{Frac: 0.5}).DecodeInto(make([]float32, 4), wrap); err == nil {
 		t.Fatal("topk wrap-around index accepted")
 	}
 }

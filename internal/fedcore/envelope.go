@@ -73,19 +73,15 @@ func AllCodecIDs() []CodecID {
 	return []CodecID{CodecRaw, CodecFloat16, CodecInt8, CodecTopK}
 }
 
+// wireCodecs are the decoder instances, indexed by CodecID.
+var wireCodecs = [...]compress.Codec{compress.Raw{}, compress.Float16{}, compress.Int8{}, compress.TopK{}}
+
 // CodecFor returns a decoder instance for a wire codec id. The TopK
 // instance carries no Frac — decoding reads the element count from the
 // payload, so none is needed.
 func CodecFor(id CodecID) (compress.Codec, bool) {
-	switch id {
-	case CodecRaw:
-		return compress.Raw{}, true
-	case CodecFloat16:
-		return compress.Float16{}, true
-	case CodecInt8:
-		return compress.Int8{}, true
-	case CodecTopK:
-		return compress.TopK{}, true
+	if int(id) < len(wireCodecs) {
+		return wireCodecs[id], true
 	}
 	return nil, false
 }
@@ -165,35 +161,74 @@ func EncodeEnvelope(c compress.Codec, params []float32) ([]byte, error) {
 // payload is touched). Every failure mode returns a typed error;
 // DecodeEnvelope never panics on malformed input.
 func DecodeEnvelope(data []byte, wantN int) ([]float32, CodecID, error) {
+	codec, id, count, payload, err := parseEnvelope(data, wantN)
+	if err != nil {
+		return nil, id, err
+	}
+	params := make([]float32, count)
+	if err := codec.DecodeInto(params, payload); err != nil {
+		return nil, id, fmt.Errorf("%w: %v", ErrEnvelopePayload, err)
+	}
+	return params, id, nil
+}
+
+// DecodeEnvelopeInto is DecodeEnvelope into a caller-owned buffer: the
+// envelope must carry exactly len(dst) elements, and on success every
+// element of dst is overwritten. It validates the frame exactly as
+// DecodeEnvelope(data, len(dst)) does and returns the same typed errors;
+// after an error dst holds unspecified values. With a reused dst it does
+// not allocate on success.
+func DecodeEnvelopeInto(dst []float32, data []byte) (CodecID, error) {
+	codec, id, count, payload, err := parseEnvelope(data, len(dst))
+	if err != nil {
+		return id, err
+	}
+	if count != len(dst) {
+		// Reached only for an empty dst, which parseEnvelope treats as
+		// self-described.
+		return id, fmt.Errorf("%w: %d elements, want %d", ErrEnvelopeCount, count, len(dst))
+	}
+	if err := codec.DecodeInto(dst, payload); err != nil {
+		return id, fmt.Errorf("%w: %v", ErrEnvelopePayload, err)
+	}
+	return id, nil
+}
+
+// parseEnvelope validates an envelope's header, length and checksum and
+// returns its codec, element count and payload; it is the one header
+// check both decoders share. wantN > 0 requires the element count to
+// match; wantN == 0 accepts a self-described count under the
+// amplification cap.
+func parseEnvelope(data []byte, wantN int) (compress.Codec, CodecID, int, []byte, error) {
 	if len(data) < EnvelopeOverhead {
-		return nil, 0, fmt.Errorf("%w: %d bytes, header needs %d",
+		return nil, 0, 0, nil, fmt.Errorf("%w: %d bytes, header needs %d",
 			ErrEnvelopeTruncated, len(data), EnvelopeOverhead)
 	}
 	if [4]byte(data[:4]) != EnvelopeMagic {
-		return nil, 0, fmt.Errorf("%w: %q", ErrEnvelopeMagic, data[:4])
+		return nil, 0, 0, nil, fmt.Errorf("%w: %q", ErrEnvelopeMagic, data[:4])
 	}
 	if data[4] != EnvelopeVersion {
-		return nil, 0, fmt.Errorf("%w: %d", ErrEnvelopeVersion, data[4])
+		return nil, 0, 0, nil, fmt.Errorf("%w: %d", ErrEnvelopeVersion, data[4])
 	}
 	id := CodecID(data[5])
 	codec, ok := CodecFor(id)
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: id %d", ErrEnvelopeCodec, id)
+		return nil, 0, 0, nil, fmt.Errorf("%w: id %d", ErrEnvelopeCodec, id)
 	}
 	if data[6] != 0 || data[7] != 0 {
-		return nil, 0, fmt.Errorf("%w: nonzero reserved bytes", ErrEnvelopePayload)
+		return nil, 0, 0, nil, fmt.Errorf("%w: nonzero reserved bytes", ErrEnvelopePayload)
 	}
 	count := int(binary.LittleEndian.Uint32(data[8:]))
 	payloadLen := int(binary.LittleEndian.Uint32(data[12:]))
 	if wantN > 0 && count != wantN {
-		return nil, id, fmt.Errorf("%w: %d elements, want %d", ErrEnvelopeCount, count, wantN)
+		return nil, id, 0, nil, fmt.Errorf("%w: %d elements, want %d", ErrEnvelopeCount, count, wantN)
 	}
 	if count < 0 || count > maxEnvelopeElems {
-		return nil, id, fmt.Errorf("%w: implausible element count %d", ErrEnvelopeCount, count)
+		return nil, id, 0, nil, fmt.Errorf("%w: implausible element count %d", ErrEnvelopeCount, count)
 	}
 	payload := data[EnvelopeOverhead:]
 	if payloadLen != len(payload) {
-		return nil, id, fmt.Errorf("%w: header claims %d payload bytes, have %d",
+		return nil, id, 0, nil, fmt.Errorf("%w: header claims %d payload bytes, have %d",
 			ErrEnvelopeTruncated, payloadLen, len(payload))
 	}
 	// Amplification cap for self-described decodes: with wantN == 0 the
@@ -205,15 +240,11 @@ func DecodeEnvelope(data []byte, wantN int) ([]float32, CodecID, error) {
 	// Callers that pass wantN chose that size themselves; the cap does not
 	// apply.
 	if wantN == 0 && count > 64+256*len(payload) {
-		return nil, id, fmt.Errorf("%w: self-described count %d from %d payload bytes",
+		return nil, id, 0, nil, fmt.Errorf("%w: self-described count %d from %d payload bytes",
 			ErrEnvelopeCount, count, len(payload))
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[16:]); got != want {
-		return nil, id, fmt.Errorf("%w: crc32 %08x, header says %08x", ErrEnvelopeChecksum, got, want)
+		return nil, id, 0, nil, fmt.Errorf("%w: crc32 %08x, header says %08x", ErrEnvelopeChecksum, got, want)
 	}
-	params, err := codec.Decode(payload, count)
-	if err != nil {
-		return nil, id, fmt.Errorf("%w: %v", ErrEnvelopePayload, err)
-	}
-	return params, id, nil
+	return codec, id, count, payload, nil
 }

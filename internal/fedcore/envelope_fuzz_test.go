@@ -2,6 +2,8 @@ package fedcore
 
 import (
 	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
 	"fhdnn/internal/compress"
@@ -51,6 +53,9 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, wantN := range []int{0, 32} {
 			got, _, err := DecodeEnvelope(data, wantN)
+			if wantN > 0 {
+				checkDecodeIntoAgrees(t, data, wantN, got, err)
+			}
 			if err != nil {
 				if got != nil {
 					t.Fatal("failed decode must not return params")
@@ -66,4 +71,42 @@ func FuzzEnvelopeDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// envelopeErrors are the typed failures an envelope decode can return.
+var envelopeErrors = []error{
+	ErrEnvelopeMagic, ErrEnvelopeVersion, ErrEnvelopeCodec, ErrEnvelopeTruncated,
+	ErrEnvelopeChecksum, ErrEnvelopeCount, ErrEnvelopePayload,
+}
+
+// checkDecodeIntoAgrees decodes data with DecodeEnvelopeInto into a
+// buffer of n values pre-filled with a sentinel, standing in for a
+// recycled buffer that still holds an earlier update, and requires what
+// DecodeEnvelope(data, n) gave (want, wantErr): the same typed error, or
+// bit-identical values with no sentinel left behind.
+func checkDecodeIntoAgrees(t *testing.T, data []byte, n int, want []float32, wantErr error) {
+	t.Helper()
+	sentinel := math.Float32frombits(0x7fa5a5a5) // a NaN no codec decodes to
+	dst := make([]float32, n)
+	for i := range dst {
+		dst[i] = sentinel
+	}
+	_, err := DecodeEnvelopeInto(dst, data)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("DecodeEnvelopeInto error %v, DecodeEnvelope error %v", err, wantErr)
+	}
+	if err != nil {
+		for _, typed := range envelopeErrors {
+			if errors.Is(err, typed) != errors.Is(wantErr, typed) {
+				t.Fatalf("DecodeEnvelopeInto error %v, DecodeEnvelope error %v", err, wantErr)
+			}
+		}
+		return
+	}
+	for i := range dst {
+		if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("value %d: DecodeEnvelopeInto %08x, DecodeEnvelope %08x",
+				i, math.Float32bits(dst[i]), math.Float32bits(want[i]))
+		}
+	}
 }

@@ -54,6 +54,12 @@ type Update struct {
 // Reset clears state for the next round. Implementations are not safe for
 // concurrent use; callers serialize (the Engine aggregates after the
 // worker barrier, flnet.Server under its mutex).
+//
+// Add never retains u.Params: an implementation that needs the values
+// after Add returns copies them into storage it owns. The caller may
+// therefore reuse or recycle the slice as soon as Add returns, which is
+// what lets flnet decode every upload into a pooled buffer. Storage an
+// implementation owns survives Reset and is reused by the next round.
 type Aggregator interface {
 	Add(u Update)
 	// Len reports how many updates have been added since the last Reset.
@@ -77,8 +83,8 @@ type FedAvg struct {
 //
 //fhdnn:hotpath called once per client update inside the round loop
 func (a *FedAvg) Add(u Update) {
-	if a.sum == nil {
-		//fhdnn:allow hotalloc first Add after Reset sizes the accumulator once per round
+	if a.n == 0 && len(a.sum) != len(u.Params) {
+		//fhdnn:allow hotalloc sizes the accumulator on the first Add and again only if the update length changes; Reset clears it in place
 		a.sum = make([]float64, len(u.Params))
 	}
 	w := float64(u.Samples)
@@ -105,9 +111,9 @@ func (a *FedAvg) Commit(global []float32) {
 	}
 }
 
-// Reset implements Aggregator.
+// Reset implements Aggregator; the accumulator is cleared, not dropped.
 func (a *FedAvg) Reset() {
-	a.sum = nil
+	clear(a.sum)
 	a.totalW = 0
 	a.n = 0
 }
@@ -131,8 +137,8 @@ type Bundle struct {
 //
 //fhdnn:hotpath called once per client update inside the round loop
 func (a *Bundle) Add(u Update) {
-	if a.sum == nil {
-		//fhdnn:allow hotalloc first Add after Reset sizes the accumulator once per round
+	if a.n == 0 && len(a.sum) != len(u.Params) {
+		//fhdnn:allow hotalloc sizes the accumulator on the first Add and again only if the update length changes; Reset clears it in place
 		a.sum = make([]float64, len(u.Params))
 	}
 	for i, v := range u.Params {
@@ -164,9 +170,9 @@ func (a *Bundle) Commit(global []float32) {
 }
 
 // Reset implements Aggregator (the Mask persists; it is per-round state
-// owned by the caller).
+// owned by the caller). The accumulator is cleared, not dropped.
 func (a *Bundle) Reset() {
-	a.sum = nil
+	clear(a.sum)
 	a.n = 0
 }
 
@@ -181,7 +187,8 @@ func (a *Bundle) Reset() {
 type AsyncStaleness struct {
 	Alpha float64
 
-	pending []Update
+	pending []Update // Params point into rows
+	rows    rowArena
 }
 
 // Weight returns the discount applied to an update of the given staleness.
@@ -196,6 +203,7 @@ func (a *AsyncStaleness) Weight(staleness int) float64 {
 //
 //fhdnn:hotpath called once per received delta on the async merge path
 func (a *AsyncStaleness) Add(u Update) {
+	u.Params = a.rows.add(u.Params)
 	//fhdnn:allow hotalloc pending reuses its backing array across Reset; growth amortizes out
 	a.pending = append(a.pending, u)
 }
@@ -216,7 +224,10 @@ func (a *AsyncStaleness) Commit(global []float32) {
 }
 
 // Reset implements Aggregator.
-func (a *AsyncStaleness) Reset() { a.pending = a.pending[:0] }
+func (a *AsyncStaleness) Reset() {
+	a.pending = a.pending[:0]
+	a.rows.reset()
+}
 
 // ClientRNG derives the deterministic random stream for one client in one
 // round: every client's randomness is keyed by (seed, round, id), so

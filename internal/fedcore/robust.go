@@ -34,15 +34,15 @@ import (
 //
 // Determinism contract: Commit sorts each coordinate's values, so the
 // committed global vector is bit-identical for every Add order and (under
-// the Engine) every worker count. Storage note: like AsyncStaleness, Add
-// retains u.Params until Reset; callers must not reuse the slice within a
-// round (the Engine and flnet server both hand over freshly built
-// slices).
+// the Engine) every worker count. Storage note: Median and TrimmedMean
+// must see every update at Commit, so Add copies u.Params into a row
+// arena (rowArena) that Reset rewinds and the next round reuses; after
+// the first round of a given size, Add allocates nothing.
 
 // Median is the coordinate-wise median aggregator. With an even number of
 // updates the two middle values are averaged in float64.
 type Median struct {
-	rows [][]float32
+	rows rowArena
 	col  []float64 // per-coordinate gather scratch, sized in Commit
 }
 
@@ -50,19 +50,19 @@ type Median struct {
 //
 //fhdnn:hotpath called once per client update inside the round loop
 func (a *Median) Add(u Update) {
-	checkRowLen(a.rows, u.Params, "Median")
-	//fhdnn:allow hotalloc rows reuses its backing array across Reset; growth amortizes out
-	a.rows = append(a.rows, u.Params)
+	checkRowLen(a.rows.live(), u.Params, "Median")
+	a.rows.add(u.Params)
 }
 
 // Len implements Aggregator.
-func (a *Median) Len() int { return len(a.rows) }
+func (a *Median) Len() int { return a.rows.n }
 
 // Commit implements Aggregator.
 //
 //fhdnn:hotpath applies the round aggregate in place
 func (a *Median) Commit(global []float32) {
-	n := len(a.rows)
+	rows := a.rows.live()
+	n := len(rows)
 	if n == 0 {
 		return
 	}
@@ -72,7 +72,7 @@ func (a *Median) Commit(global []float32) {
 	}
 	col := a.col[:n]
 	for j := range global {
-		for i, row := range a.rows {
+		for i, row := range rows {
 			col[i] = float64(row[j])
 		}
 		sort.Float64s(col)
@@ -85,10 +85,7 @@ func (a *Median) Commit(global []float32) {
 }
 
 // Reset implements Aggregator.
-func (a *Median) Reset() {
-	clear(a.rows)
-	a.rows = a.rows[:0]
-}
+func (a *Median) Reset() { a.rows.reset() }
 
 // Name returns the policy spec string.
 func (a *Median) Name() string { return "median" }
@@ -102,7 +99,7 @@ type TrimmedMean struct {
 	// Frac is the fraction trimmed from EACH end, in [0, 0.5).
 	Frac float64
 
-	rows [][]float32
+	rows rowArena
 	col  []float64
 }
 
@@ -123,19 +120,19 @@ func (a *TrimmedMean) Trim(n int) int {
 //
 //fhdnn:hotpath called once per client update inside the round loop
 func (a *TrimmedMean) Add(u Update) {
-	checkRowLen(a.rows, u.Params, "TrimmedMean")
-	//fhdnn:allow hotalloc rows reuses its backing array across Reset; growth amortizes out
-	a.rows = append(a.rows, u.Params)
+	checkRowLen(a.rows.live(), u.Params, "TrimmedMean")
+	a.rows.add(u.Params)
 }
 
 // Len implements Aggregator.
-func (a *TrimmedMean) Len() int { return len(a.rows) }
+func (a *TrimmedMean) Len() int { return a.rows.n }
 
 // Commit implements Aggregator.
 //
 //fhdnn:hotpath applies the round aggregate in place
 func (a *TrimmedMean) Commit(global []float32) {
-	n := len(a.rows)
+	rows := a.rows.live()
+	n := len(rows)
 	if n == 0 {
 		return
 	}
@@ -147,7 +144,7 @@ func (a *TrimmedMean) Commit(global []float32) {
 	col := a.col[:n]
 	inv := 1 / float64(n-2*k)
 	for j := range global {
-		for i, row := range a.rows {
+		for i, row := range rows {
 			col[i] = float64(row[j])
 		}
 		sort.Float64s(col)
@@ -160,10 +157,7 @@ func (a *TrimmedMean) Commit(global []float32) {
 }
 
 // Reset implements Aggregator.
-func (a *TrimmedMean) Reset() {
-	clear(a.rows)
-	a.rows = a.rows[:0]
-}
+func (a *TrimmedMean) Reset() { a.rows.reset() }
 
 // Name returns the policy spec string.
 func (a *TrimmedMean) Name() string {
@@ -173,12 +167,14 @@ func (a *TrimmedMean) Name() string {
 // NormClip decorates Inner: any added update whose L2 norm exceeds Bound
 // is rescaled to exactly Bound (preserving its direction) before being
 // handed on. Updates at or under the bound pass through bit-identical —
-// the caller's slice is never mutated; clipping works on a copy, because
-// storing aggregators (Median, TrimmedMean, AsyncStaleness) retain the
-// slice they are given. Bound <= 0 disables clipping.
+// the caller's slice is never mutated; clipping writes into one scratch
+// slice that every clipped Add reuses, which is safe because no Inner
+// retains u.Params past Add. Bound <= 0 disables clipping.
 type NormClip struct {
 	Inner Aggregator
 	Bound float64
+
+	scaled []float32 // clipping scratch, reused across Adds and rounds
 
 	// clipped is atomic so a stats scrape may read it without the lock
 	// that serializes Add; everything else follows the usual
@@ -198,8 +194,11 @@ func (a *NormClip) Add(u Update) {
 		}
 		if norm := math.Sqrt(sum); norm > a.Bound {
 			scale := a.Bound / norm
-			//fhdnn:allow hotalloc a clipped update needs its own copy: inner aggregators retain the slice until Reset
-			scaled := make([]float32, len(u.Params))
+			if cap(a.scaled) < len(u.Params) {
+				//fhdnn:allow hotalloc the clipping scratch grows to the update length once, then every clipped Add reuses it
+				a.scaled = make([]float32, len(u.Params))
+			}
+			scaled := a.scaled[:len(u.Params)]
 			for i, v := range u.Params {
 				scaled[i] = float32(float64(v) * scale)
 			}
@@ -230,6 +229,40 @@ func (a *NormClip) Clipped() int64 { return a.clipped.Load() }
 func (a *NormClip) Name() string {
 	return "clip:" + strconv.FormatFloat(a.Bound, 'g', -1, 64) + ":" + AggregatorName(a.Inner)
 }
+
+// rowArena is the storage of an aggregator that keeps every update of a
+// round until Commit. Add copies an update into the next row; rows, and
+// the storage behind each, survive reset and are reused by later rounds,
+// so the arena grows to the largest round seen and then stops
+// allocating.
+type rowArena struct {
+	rows [][]float32
+	n    int // rows in use this round
+}
+
+// add copies params into the next row and returns that row.
+func (r *rowArena) add(params []float32) []float32 {
+	if r.n == len(r.rows) {
+		//fhdnn:allow hotalloc the arena gains a row only when a round is larger than every earlier one; reset keeps it
+		r.rows = append(r.rows, nil)
+	}
+	row := r.rows[r.n]
+	if cap(row) < len(params) {
+		//fhdnn:allow hotalloc a row is sized once per arena slot and reused across reset; it regrows only if the update length grows
+		row = make([]float32, len(params))
+	}
+	row = row[:len(params)]
+	copy(row, params)
+	r.rows[r.n] = row
+	r.n++
+	return row
+}
+
+// live returns the rows added since the last reset.
+func (r *rowArena) live() [][]float32 { return r.rows[:r.n] }
+
+// reset rewinds the arena; the rows keep their storage for the next round.
+func (r *rowArena) reset() { r.n = 0 }
 
 // checkRowLen enforces that every update in a round has one length: a
 // mismatched update would silently mis-gather columns in Commit.

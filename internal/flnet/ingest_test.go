@@ -37,14 +37,42 @@ func legacyBody(t *testing.T, k, d int, fill float32) []byte {
 	return buf.Bytes()
 }
 
+// postEnvelopeAs posts one update as a raw-codec wire envelope under the
+// given client identity.
+func postEnvelopeAs(url, id string, round int, vals []float32) error {
+	body, err := fedcore.EncodeEnvelope(compress.Raw{}, vals)
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequest(http.MethodPost, fmt.Sprintf("%s/v1/update?round=%d", url, round), bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", EnvelopeContentType)
+	req.Header.Set(ClientHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer drainClose(resp.Body)
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("envelope push: status %d", resp.StatusCode)
+	}
+	return nil
+}
+
 // The committed global model is bit-identical across add order, over the
 // real HTTP path: shuffled sequential posts and eight goroutines posting
 // concurrently all commit exactly what one fedcore aggregator computes.
 // Bundle gets integer-valued updates, where float64 accumulation is
-// exact; median gets arbitrary floats, since sorting makes it exactly
-// permutation-invariant.
+// exact; the sorting policies get arbitrary floats, since sorting makes
+// them exactly permutation-invariant. Updates arrive as legacy bodies,
+// as raw envelopes — which the server decodes into recycled buffers —
+// and as a mix, so a policy that kept a reference to a recycled buffer
+// past Add would commit some other client's values and fail here.
 func TestServerBitIdentityAcrossAddOrder(t *testing.T) {
 	const k, d, nClients, posters = 2, 16, 24, 8
+	const clipBound = 5 // below most of these updates' norms (about sqrt(k*d))
 	policies := []struct {
 		name    string
 		build   func() fedcore.Aggregator
@@ -52,6 +80,18 @@ func TestServerBitIdentityAcrossAddOrder(t *testing.T) {
 	}{
 		{"bundle", func() fedcore.Aggregator { return &fedcore.Bundle{} }, true},
 		{"median", func() fedcore.Aggregator { return &fedcore.Median{} }, false},
+		{"trimmed:0.25", func() fedcore.Aggregator { return &fedcore.TrimmedMean{Frac: 0.25} }, false},
+		{"clip:5:median", func() fedcore.Aggregator {
+			return &fedcore.NormClip{Inner: &fedcore.Median{}, Bound: clipBound}
+		}, false},
+	}
+	formats := []struct {
+		name     string
+		envelope func(client int) bool
+	}{
+		{"legacy", func(int) bool { return false }},
+		{"envelope", func(int) bool { return true }},
+		{"mixed", func(i int) bool { return i%2 == 1 }},
 	}
 	for _, pol := range policies {
 		rng := rand.New(rand.NewSource(42))
@@ -67,59 +107,75 @@ func TestServerBitIdentityAcrossAddOrder(t *testing.T) {
 				}
 			}
 			updates[i] = vals
-			ref.Add(fedcore.Update{Params: vals, Samples: 1})
+			ref.Add(fedcore.Update{Params: append([]float32(nil), vals...), Samples: 1})
 		}
 		want := make([]float32, k*d)
 		ref.Commit(want)
+		if c, ok := ref.(*fedcore.NormClip); ok && c.Clipped() == 0 {
+			t.Fatalf("%s: no update is above the clip bound", pol.name)
+		}
 
-		check := func(run string, srv *Server) {
-			t.Helper()
-			if srv.Round() != 2 {
-				t.Fatalf("%s/%s: round = %d, want 2", pol.name, run, srv.Round())
-			}
-			m, _ := srv.Model()
-			for j, v := range m.Flat() {
-				if v != want[j] {
-					t.Fatalf("%s/%s: global[%d] = %v, want %v", pol.name, run, j, v, want[j])
+		for _, format := range formats {
+			check := func(run string, srv *Server) {
+				t.Helper()
+				if srv.Round() != 2 {
+					t.Fatalf("%s/%s/%s: round = %d, want 2", pol.name, format.name, run, srv.Round())
 				}
-			}
-		}
-		newServer := func() (*Server, string) {
-			srv, ts := newTestServer(t, ServerConfig{
-				NumClasses: k, Dim: d, MinUpdates: nClients, Aggregator: pol.build()})
-			return srv, ts.URL
-		}
-
-		for trial := int64(0); trial < 3; trial++ {
-			srv, url := newServer()
-			for _, i := range rand.New(rand.NewSource(trial)).Perm(nClients) {
-				if err := pushAs(t, url, fmt.Sprintf("edge-%03d", i), 1, k, d, updates[i]); err != nil {
-					t.Fatalf("%s: push %d: %v", pol.name, i, err)
-				}
-			}
-			check(fmt.Sprintf("shuffle %d", trial), srv)
-		}
-
-		srv, url := newServer()
-		var wg sync.WaitGroup
-		errs := make(chan error, nClients)
-		for p := 0; p < posters; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := p; i < nClients; i += posters {
-					if err := pushAs(t, url, fmt.Sprintf("edge-%03d", i), 1, k, d, updates[i]); err != nil {
-						errs <- fmt.Errorf("push %d: %w", i, err)
+				m, _ := srv.Model()
+				for j, v := range m.Flat() {
+					if math.Float32bits(v) != math.Float32bits(want[j]) {
+						t.Fatalf("%s/%s/%s: global[%d] = %v, want %v", pol.name, format.name, run, j, v, want[j])
 					}
 				}
-			}(p)
+				if c, ok := ref.(*fedcore.NormClip); ok && srv.Stats().UpdatesClipped != c.Clipped() {
+					t.Fatalf("%s/%s/%s: clipped %d updates, reference clipped %d",
+						pol.name, format.name, run, srv.Stats().UpdatesClipped, c.Clipped())
+				}
+			}
+			newServer := func() (*Server, string) {
+				srv, ts := newTestServer(t, ServerConfig{
+					NumClasses: k, Dim: d, MinUpdates: nClients, Aggregator: pol.build()})
+				return srv, ts.URL
+			}
+			push := func(url string, i int) error {
+				id := fmt.Sprintf("edge-%03d", i)
+				if format.envelope(i) {
+					return postEnvelopeAs(url, id, 1, updates[i])
+				}
+				return pushAs(t, url, id, 1, k, d, updates[i])
+			}
+
+			for trial := int64(0); trial < 3; trial++ {
+				srv, url := newServer()
+				for _, i := range rand.New(rand.NewSource(trial)).Perm(nClients) {
+					if err := push(url, i); err != nil {
+						t.Fatalf("%s/%s: push %d: %v", pol.name, format.name, i, err)
+					}
+				}
+				check(fmt.Sprintf("shuffle %d", trial), srv)
+			}
+
+			srv, url := newServer()
+			var wg sync.WaitGroup
+			errs := make(chan error, nClients)
+			for p := 0; p < posters; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					for i := p; i < nClients; i += posters {
+						if err := push(url, i); err != nil {
+							errs <- fmt.Errorf("push %d: %w", i, err)
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatalf("%s/%s/concurrent: %v", pol.name, format.name, err)
+			}
+			check("concurrent", srv)
 		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatalf("%s/concurrent: %v", pol.name, err)
-		}
-		check("concurrent", srv)
 	}
 }
 

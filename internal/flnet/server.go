@@ -180,6 +180,14 @@ type Server struct {
 	pending  atomic.Int64 // updates aggregated into the open round
 	inFlight atomic.Int64 // uploads inside handleUpdate
 
+	// bodies recycles *bytes.Buffer upload bodies and params recycles
+	// *[]float32 decode buffers of NumClasses*Dim values, so a
+	// steady-state upload allocates neither. A buffer goes back to its
+	// pool once the handler is done with it; that is safe because
+	// Aggregator.Add never retains u.Params.
+	bodies sync.Pool
+	params sync.Pool
+
 	stats *serverStats
 }
 
@@ -210,6 +218,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		seen:       make(map[string]bool),
 		model:      hdc.NewModel(cfg.NumClasses, cfg.Dim),
 		stats:      newServerStats(),
+	}
+	s.bodies.New = func() any { return new(bytes.Buffer) }
+	s.params.New = func() any {
+		p := make([]float32, cfg.NumClasses*cfg.Dim)
+		return &p
 	}
 	s.round.Store(1)
 	s.mu.Lock()
@@ -374,18 +387,27 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	// envelope (top-k at Frac 1: header + 4 + 8n).
 	body := &countingReader{r: http.MaxBytesReader(w, r.Body, int64(64+fedcore.EnvelopeOverhead+8*n))}
 
-	// Decode with no lock held; neither path touches round state.
+	// Read and decode with no lock held; neither path touches round
+	// state. The body and the decoded update live in pooled buffers that
+	// go back when the handler returns.
+	buf := s.bodies.Get().(*bytes.Buffer)
+	defer s.bodies.Put(buf)
+	buf.Reset()
+	_, rerr := buf.ReadFrom(body)
+	s.stats.bytesReceived.Add(body.n)
+	data := buf.Bytes()
 	var flat []float32
 	codecName := legacyCodecName
 	if r.Header.Get("Content-Type") == EnvelopeContentType {
-		data, rerr := io.ReadAll(body)
-		s.stats.bytesReceived.Add(body.n)
+		params := s.params.Get().(*[]float32)
+		defer s.params.Put(params)
 		var envErr error
 		if rerr != nil {
 			envErr = fmt.Errorf("read body: %w", rerr)
 		} else {
 			var id fedcore.CodecID
-			flat, id, envErr = fedcore.DecodeEnvelope(data, n)
+			id, envErr = fedcore.DecodeEnvelopeInto(*params, data)
+			flat = *params
 			codecName = fedcore.CodecName(id)
 		}
 		if envErr != nil {
@@ -409,8 +431,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// The strict slice decoder also rejects trailing bytes after the
 		// declared payload — a lossy transport must not smuggle garbage
 		// past the parser.
-		data, rerr := io.ReadAll(body)
-		s.stats.bytesReceived.Add(body.n)
 		var update *hdc.Model
 		merr := rerr
 		if merr == nil {
@@ -599,25 +619,39 @@ func retryAfterSeconds(d time.Duration) int {
 // (QuarantineNonFinite, QuarantineNormBound; "" for a clean update); the
 // detail names the offending index and value so a quarantined client's
 // 422 body is actionable.
+//
+// The non-finite scan reads float32 exponent bits (all ones is NaN or
+// Inf) and is the only pass over a clean update when the norm gate is
+// off. The float64 sum of squares runs only when it is on, and the
+// largest-parameter search only for a refused update, so a clean update
+// costs one integer pass. The verdicts and details are those of a single
+// float64 pass computing all three.
 func quarantineReason(flat []float32, maxNorm float64) (reason, detail string) {
-	var sum float64
-	peakIdx, peakAbs := -1, 0.0
+	const expMask = 0x7f800000
 	for i, v := range flat {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
+		if math.Float32bits(v)&expMask == expMask {
 			return QuarantineNonFinite, fmt.Sprintf("non-finite parameter %v at index %d", v, i)
 		}
+	}
+	if !(maxNorm > 0) {
+		return "", ""
+	}
+	var sum float64
+	for _, v := range flat {
+		f := float64(v)
 		sum += f * f
-		if a := math.Abs(f); a > peakAbs {
+	}
+	norm := math.Sqrt(sum)
+	if !(norm > maxNorm) {
+		return "", ""
+	}
+	peakIdx, peakAbs := -1, 0.0
+	for i, v := range flat {
+		if a := math.Abs(float64(v)); a > peakAbs {
 			peakIdx, peakAbs = i, a
 		}
 	}
-	if maxNorm > 0 {
-		if norm := math.Sqrt(sum); norm > maxNorm {
-			return QuarantineNormBound, fmt.Sprintf(
-				"L2 norm %.4g exceeds limit %g (largest parameter %.4g at index %d)",
-				norm, maxNorm, peakAbs, peakIdx)
-		}
-	}
-	return "", ""
+	return QuarantineNormBound, fmt.Sprintf(
+		"L2 norm %.4g exceeds limit %g (largest parameter %.4g at index %d)",
+		norm, maxNorm, peakAbs, peakIdx)
 }
