@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Codec compresses a flat model update into bytes and back.
@@ -224,7 +223,14 @@ func (Int8) DecodeInto(dst []float32, data []byte) error {
 
 // TopK transmits only the k largest-magnitude entries (as index/value
 // pairs); the receiver fills the rest with zeros. Frac is the kept
-// fraction (e.g. 0.1 keeps 10% of the weights).
+// fraction (e.g. 0.1 keeps 10% of the weights), clamped so that at least
+// one entry and at most all of them are kept.
+//
+// Encode runs in linear time: a radix select finds the k-th largest
+// magnitude, then one pass in index order emits the entries. Which
+// entries are kept is fixed: magnitude descending, ties broken by the
+// lower index. A NaN ranks above +Inf, so NaN entries are always kept
+// (and the server's quarantine gate refuses the update).
 type TopK struct {
 	Frac float64
 }
@@ -232,7 +238,8 @@ type TopK struct {
 // Name implements Codec.
 func (c TopK) Name() string { return fmt.Sprintf("topk(%.2g)", c.Frac) }
 
-// Encode stores uint32 count, then (uint32 index, float32 value) pairs.
+// Encode stores uint32 count, then (uint32 index, float32 value) pairs in
+// increasing index order. Its only allocation is the returned payload.
 func (c TopK) Encode(update []float32) []byte {
 	k := int(c.Frac * float64(len(update)))
 	if k < 1 {
@@ -241,27 +248,59 @@ func (c TopK) Encode(update []float32) []byte {
 	if k > len(update) {
 		k = len(update)
 	}
-	idx := make([]int, len(update))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		av := math.Abs(float64(update[idx[a]]))
-		bv := math.Abs(float64(update[idx[b]]))
-		if av != bv {
-			return av > bv
-		}
-		return idx[a] < idx[b] // deterministic tie-break
-	})
-	kept := idx[:k]
-	sort.Ints(kept) // index-ordered payload compresses and scans better
 	out := make([]byte, 4+8*k)
 	putU32(out[0:], uint32(k))
-	for i, j := range kept {
-		putU32(out[4+8*i:], uint32(j))
-		putU32(out[8+8*i:], math.Float32bits(update[j]))
+	if k == 0 {
+		return out
+	}
+	t, ties := kthLargestMagnitude(update, k)
+	p := out[4:]
+	for i, v := range update {
+		key := magnitudeKey(v)
+		if key < t || key == t && ties == 0 {
+			continue
+		}
+		if key == t {
+			ties--
+		}
+		putU32(p, uint32(i))
+		putU32(p[4:], math.Float32bits(v))
+		if p = p[8:]; len(p) == 0 {
+			break
+		}
 	}
 	return out
+}
+
+// magnitudeKey is v's bit pattern without the sign. For non-NaN floats,
+// uint32 order on the key is the order of |v|; the NaN keys lie above
+// +Inf's.
+func magnitudeKey(v float32) uint32 { return math.Float32bits(v) &^ (1 << 31) }
+
+// kthLargestMagnitude returns the k-th largest magnitudeKey t in update
+// (1 <= k <= len(update)) and how many of the keys equal to t rank among
+// the k largest, by a most-significant-digit radix select over the 31 key
+// bits in digits of 11, 10 and 10 bits. Each digit takes one histogram
+// pass over the entries whose higher digits match those already chosen.
+func kthLargestMagnitude(update []float32, k int) (t uint32, ties int) {
+	var hist [1 << 11]int
+	need := k // rank of the wanted key among the entries still matching t
+	for _, dig := range [...]struct{ shift, width uint }{{20, 11}, {10, 10}, {0, 10}} {
+		above := dig.shift + dig.width
+		clear(hist[:])
+		for _, v := range update {
+			if key := magnitudeKey(v); key>>above == t>>above {
+				hist[key>>dig.shift&(1<<dig.width-1)]++
+			}
+		}
+		d := 1<<dig.width - 1
+		for hist[d] < need {
+			need -= hist[d]
+			d--
+		}
+		t |= uint32(d) << dig.shift
+	}
+	return t, need
 }
 
 // DecodeInto implements Codec. It clears dst first: the entries a top-k

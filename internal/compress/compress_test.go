@@ -1,8 +1,12 @@
 package compress
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -181,6 +185,193 @@ func TestTopKDeterministicTieBreak(t *testing.T) {
 	b := TopK{Frac: 0.5}.Encode(u)
 	if string(a) != string(b) {
 		t.Fatal("topk must be deterministic under ties")
+	}
+}
+
+// topKEncodeRef is the sort-based top-k encoder: order every index by
+// magnitude descending, ties to the lower index, keep the first k and
+// emit them in index order. TopK.Encode must produce exactly its payload
+// for every input without NaN. (Its comparator is not a strict weak order
+// on NaN, so its NaN result is unspecified.)
+func topKEncodeRef(c TopK, update []float32) []byte {
+	k := int(c.Frac * float64(len(update)))
+	if k < 1 {
+		k = 1
+	}
+	if k > len(update) {
+		k = len(update)
+	}
+	idx := make([]int, len(update))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		av := math.Abs(float64(update[idx[a]]))
+		bv := math.Abs(float64(update[idx[b]]))
+		if av != bv {
+			return av > bv
+		}
+		return idx[a] < idx[b] // deterministic tie-break
+	})
+	kept := idx[:k]
+	sort.Ints(kept) // index-ordered payload compresses and scans better
+	out := make([]byte, 4+8*k)
+	putU32(out[0:], uint32(k))
+	for i, j := range kept {
+		putU32(out[4+8*i:], uint32(j))
+		putU32(out[8+8*i:], math.Float32bits(update[j]))
+	}
+	return out
+}
+
+// topKFracs covers the clamps (Frac <= 0 keeps one entry, Frac > 1 keeps
+// all of them) and fractions in between.
+var topKFracs = []float64{-1, 0, 0.001, 0.1, 0.25, 0.5, 0.999, 1, 1.5}
+
+// The radix-select encoder emits the sort reference's payload byte for
+// byte on inputs built to stress it: heavy ties, +-0, +-Inf, subnormals,
+// the largest finite floats, runs of adjacent floats that agree in the
+// high radix digits and differ only in the low ones, all-zero input, and
+// lengths 0 and 1.
+func TestTopKEncodeMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	pool := []float32{0, float32(math.Copysign(0, -1)), 1, -1, 0.5, -0.5,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(1), -math.Float32frombits(1), math.Float32frombits(0x007fffff),
+		math.MaxFloat32, -math.MaxFloat32}
+	check := func(name string, u []float32) {
+		t.Helper()
+		for _, frac := range topKFracs {
+			c := TopK{Frac: frac}
+			if got, want := c.Encode(u), topKEncodeRef(c, u); !bytes.Equal(got, want) {
+				t.Fatalf("%s (n=%d, frac=%v): payload differs from the sort reference\ngot  %x\nwant %x",
+					name, len(u), frac, got, want)
+			}
+		}
+	}
+	check("empty", nil)
+	check("one", []float32{-3})
+	check("all zero", make([]float32, 300))
+	for trial := 0; trial < 1500; trial++ {
+		u := make([]float32, 1+rng.Intn(400))
+		base := rng.Uint32() &^ (1 << 31)
+		for i := range u {
+			switch rng.Intn(4) {
+			case 0:
+				u[i] = pool[rng.Intn(len(pool))]
+			case 1:
+				u[i] = float32(rng.Intn(5) - 2) // small integers: many ties
+			case 2:
+				// Neighbours of base: equal high digits, so the select
+				// must resolve them in the low digit passes.
+				bits := base + uint32(rng.Intn(40))
+				if bits&0x7f800000 == 0x7f800000 {
+					bits = 0x7f7fffff - uint32(rng.Intn(40))
+				}
+				u[i] = math.Float32frombits(bits | uint32(rng.Intn(2))<<31)
+			default:
+				u[i] = float32(rng.NormFloat64())
+			}
+		}
+		check("random", u)
+	}
+	check("paper size", randomUpdate(rng, 100000))
+}
+
+// NaN's magnitude bits rank above +Inf, so Encode keeps every NaN entry
+// while k allows, whatever its sign. Between NaNs the magnitude bits
+// decide, mantissa payload included.
+func TestTopKKeepsNaN(t *testing.T) {
+	negNaN := math.Float32frombits(0xffc00001)
+	u := []float32{1, float32(math.NaN()), float32(math.Inf(-1)), 2, negNaN}
+	for _, tc := range []struct {
+		frac float64
+		want []int
+	}{
+		{0.4, []int{1, 4}},
+		{0.6, []int{1, 2, 4}},
+		{0.2, []int{4}}, // 0x7fc00001 ranks above the quiet NaN 0x7fc00000
+	} {
+		data := TopK{Frac: tc.frac}.Encode(u)
+		var got []int
+		for p := data[4:]; len(p) > 0; p = p[8:] {
+			got = append(got, int(getU32(p)))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("frac %v: kept indices %v, want %v", tc.frac, got, tc.want)
+		}
+	}
+}
+
+// FuzzTopKEncode reads arbitrary bytes as little-endian float32s. Without
+// NaN the payload must equal the sort reference's; with NaN it must keep
+// the NaN entries first (the reference's NaN order is unspecified).
+func FuzzTopKEncode(f *testing.F) {
+	le := func(vals ...uint32) []byte {
+		b := make([]byte, 4*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		return b
+	}
+	f.Add(le(0x3f800000, 0xbf800000, 0x40000000, 0), 0.5)
+	f.Add(le(0, 0x80000000, 0, 0x80000000), 0.25)
+	f.Add(le(0x7f800000, 0xff800000, 0x00000001, 0x80000001), 0.75)
+	f.Add(le(0x3f800000, 0x7fc00000, 0x7f800000), 0.34)
+	f.Add(le(0x3f800001, 0x3f800000, 0xbf800001, 0x3f800002), -1.0)
+	f.Add(le(0x7f7fffff), 5.0)
+	f.Add([]byte{}, 0.1)
+	f.Fuzz(func(t *testing.T, data []byte, frac float64) {
+		u := make([]float32, len(data)/4)
+		nans := 0
+		for i := range u {
+			u[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+			if math.IsNaN(float64(u[i])) {
+				nans++
+			}
+		}
+		c := TopK{Frac: frac}
+		got := c.Encode(u)
+		if nans == 0 {
+			if want := topKEncodeRef(c, u); !bytes.Equal(got, want) {
+				t.Fatalf("payload differs from the sort reference\ngot  %x\nwant %x", got, want)
+			}
+			return
+		}
+		if err := c.DecodeInto(make([]float32, len(u)), got); err != nil {
+			t.Fatalf("payload with NaN input does not decode: %v", err)
+		}
+		kept := 0
+		for p := got[4:]; len(p) > 0; p = p[8:] {
+			if math.IsNaN(float64(math.Float32frombits(getU32(p[4:])))) {
+				kept++
+			}
+		}
+		if k := int(getU32(got)); kept != min(nans, k) {
+			t.Fatalf("kept %d of %d NaN entries with k=%d", kept, nans, k)
+		}
+	})
+}
+
+// Encode's only allocation is the payload it returns: the radix
+// histogram lives on the stack.
+func TestTopKEncodeAllocatesOnlyPayload(t *testing.T) {
+	u := randomUpdate(rand.New(rand.NewSource(15)), 100000)
+	if allocs := testing.AllocsPerRun(10, func() { TopK{Frac: 0.1}.Encode(u) }); allocs != 1 {
+		t.Errorf("TopK.Encode at n=%d: %v allocs/op, want 1", len(u), allocs)
+	}
+}
+
+var sinkPayload []byte
+
+func BenchmarkTopKEncode(b *testing.B) {
+	u := randomUpdate(rand.New(rand.NewSource(16)), 100000)
+	c := TopK{Frac: 0.1}
+	b.SetBytes(int64(4 * len(u)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPayload = c.Encode(u)
 	}
 }
 

@@ -101,6 +101,11 @@ func (e *Engine) Run() {
 		evalEvery = 1
 	}
 
+	// An update's accounted size depends only on the uplink and its value
+	// count, and sizing a codec uplink encodes a whole zero update, so the
+	// commit loop below sizes each distinct count once.
+	wireSize := map[int]int64{}
+
 	prevAcc := 0.0
 	for round := 1; round <= e.Rounds; round++ {
 		if e.BeginRound != nil {
@@ -155,7 +160,12 @@ func (e *Engine) Run() {
 			if e.WireCount != nil {
 				n = e.WireCount(*u)
 			}
-			bytes += UpdateWireBytes(uplink, n, bpp)
+			size, ok := wireSize[n]
+			if !ok {
+				size = UpdateWireBytes(uplink, n, bpp)
+				wireSize[n] = size
+			}
+			bytes += size
 			lossSum += u.Loss
 			participants++
 		}

@@ -180,6 +180,22 @@ func TestEngineTrafficAccounting(t *testing.T) {
 			t.Fatalf("codec accounting: %d bytes, want %d per participant", st.Bytes, want)
 		}
 	}
+
+	// Run sizes each distinct count once; updates of different counts in
+	// one round must still each be charged their own size.
+	e3, stats3, _ := toyEngine(1, 0, up)
+	wantByRound := map[int]int64{}
+	e3.WireCount = func(u Update) int {
+		n := 1 + u.Client%3
+		wantByRound[u.Round] += int64(WireBytes(compress.Int8{}, n))
+		return n
+	}
+	e3.Run()
+	for _, st := range *stats3 {
+		if st.Bytes != wantByRound[st.Round] {
+			t.Fatalf("round %d: %d bytes, want %d for the mixed counts", st.Round, st.Bytes, wantByRound[st.Round])
+		}
+	}
 }
 
 func TestEngineEvalPacing(t *testing.T) {

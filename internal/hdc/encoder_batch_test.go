@@ -85,6 +85,20 @@ func TestEncodeIntoDoesNotAllocateSerial(t *testing.T) {
 	}
 }
 
+// Predict allocates nothing: the query norm is computed once and each
+// class is one fused pass.
+func TestPredictDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	m := NewModel(10, 1000)
+	for k := 0; k < m.K; k++ {
+		copy(m.Class(k), RandomBipolar(rng, m.D))
+	}
+	h := RandomBipolar(rng, m.D)
+	if allocs := testing.AllocsPerRun(10, func() { m.Predict(h) }); allocs != 0 {
+		t.Errorf("Predict: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestSerializedEncoderKeepsBatchedPath ensures deserialization rebuilds the
 // transposed projection, so a restored encoder batch-encodes identically to
 // the original.

@@ -307,6 +307,79 @@ func TestRefineEpochCountsMispredictions(t *testing.T) {
 	}
 }
 
+// predictRef is Predict as a per-class Cosine loop.
+func predictRef(m *Model, h []float32) (int, float64) {
+	best, bi := -2.0, 0
+	for k := 0; k < m.K; k++ {
+		if s := Cosine(m.Class(k), h); s > best {
+			best, bi = s, k
+		}
+	}
+	return bi, best
+}
+
+// Predict and Similarities return exactly what per-class Cosine calls
+// return, bit for bit, including zero prototype rows, a zero query, and
+// classes that tie (a duplicated row, or one doubled, which scales its
+// dot product and norm exactly), where the lowest class index must win.
+func TestPredictMatchesCosine(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 200; trial++ {
+		k, d := 1+rng.Intn(12), 1+rng.Intn(300)
+		m := NewModel(k, d)
+		for c := 0; c < k; c++ {
+			row := m.Class(c)
+			switch rng.Intn(5) {
+			case 0: // zero row
+			case 1: // duplicate of an earlier row, or doubled
+				if c > 0 {
+					scale := float32(1 + rng.Intn(2))
+					for i, v := range m.Class(rng.Intn(c)) {
+						row[i] = scale * v
+					}
+				}
+			case 2: // integer-valued, as bundled bipolar vectors are
+				for i := range row {
+					row[i] = float32(rng.Intn(9) - 4)
+				}
+			default:
+				for i := range row {
+					row[i] = float32(rng.NormFloat64() * 30)
+				}
+			}
+		}
+		queries := [][]float32{make([]float32, d), RandomBipolar(rng, d)}
+		q := make([]float32, d)
+		for i := range q {
+			q[i] = float32(rng.NormFloat64())
+		}
+		queries = append(queries, q, append([]float32(nil), m.Class(rng.Intn(k))...))
+		for qi, h := range queries {
+			sims := m.Similarities(h)
+			for c := range sims {
+				if want := Cosine(m.Class(c), h); math.Float64bits(sims[c]) != math.Float64bits(want) {
+					t.Fatalf("trial %d query %d: Similarities[%d] = %v, Cosine %v", trial, qi, c, sims[c], want)
+				}
+			}
+			gotK, gotS := m.Predict(h)
+			wantK, wantS := predictRef(m, h)
+			if gotK != wantK || math.Float64bits(gotS) != math.Float64bits(wantS) {
+				t.Fatalf("trial %d query %d: Predict = (%d, %v), reference (%d, %v)", trial, qi, gotK, gotS, wantK, wantS)
+			}
+		}
+	}
+
+	// An exact tie: rows 1 and 3 are the same, row 2 is row 1 doubled.
+	m := NewModel(4, 3)
+	copy(m.Class(0), []float32{-1, 0, 0})
+	copy(m.Class(1), []float32{1, 2, 3})
+	copy(m.Class(2), []float32{2, 4, 6})
+	copy(m.Class(3), []float32{1, 2, 3})
+	if k, _ := m.Predict([]float32{3, 2, 1}); k != 1 {
+		t.Fatalf("tie between classes 1, 2 and 3 won by %d, want 1", k)
+	}
+}
+
 func TestFederatedBundlingEquivalence(t *testing.T) {
 	// Two clients bundling disjoint data then summing models must equal one
 	// client bundling all data (linearity of one-shot learning).

@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"fmt"
+	"math"
 
 	"fhdnn/internal/tensor"
 )
@@ -41,11 +42,15 @@ func (m *Model) BundleInto(k int, h []float32) {
 }
 
 // Predict returns the class whose prototype has the highest cosine
-// similarity with h, along with that similarity.
+// similarity with h, along with that similarity; the lowest class index
+// wins a tie. It costs K+1 passes over d (Norm(h) once, then one fused
+// pass per prototype) and does not allocate; every similarity is bit for
+// bit Cosine(m.Class(k), h).
 func (m *Model) Predict(h []float32) (class int, sim float64) {
+	nh := m.queryNorm(h)
 	best, bi := -2.0, 0
 	for k := 0; k < m.K; k++ {
-		s := Cosine(m.Class(k), h)
+		s := m.cosine(k, h, nh)
 		if s > best {
 			best, bi = s, k
 		}
@@ -53,13 +58,46 @@ func (m *Model) Predict(h []float32) (class int, sim float64) {
 	return bi, best
 }
 
-// Similarities returns the cosine similarity of h against every prototype.
+// Similarities returns the cosine similarity of h against every prototype,
+// each bit for bit Cosine(m.Class(k), h), at Predict's cost.
 func (m *Model) Similarities(h []float32) []float64 {
+	nh := m.queryNorm(h)
 	out := make([]float64, m.K)
-	for k := 0; k < m.K; k++ {
-		out[k] = Cosine(m.Class(k), h)
+	for k := range out {
+		out[k] = m.cosine(k, h, nh)
 	}
 	return out
+}
+
+// queryNorm checks that h has the model's dimension and returns Norm(h).
+func (m *Model) queryNorm(h []float32) float64 {
+	if len(h) != m.D {
+		panic(fmt.Sprintf("hdc: query length %d, model dimension %d", len(h), m.D))
+	}
+	return Norm(h)
+}
+
+// cosine is Cosine(m.Class(k), h) given nh = Norm(h). One loop sums the
+// prototype's squares and its dot product with h in two float64
+// accumulators, each in the index order Norm and Dot use, so the result
+// has the same bits.
+func (m *Model) cosine(k int, h []float32, nh float64) float64 {
+	if nh == 0 {
+		return 0
+	}
+	c := m.Class(k)
+	h = h[:len(c)]
+	var ss, dot float64
+	for i, v := range c {
+		x := float64(v)
+		ss += x * x
+		dot += x * float64(h[i])
+	}
+	na := math.Sqrt(ss)
+	if na == 0 {
+		return 0
+	}
+	return dot / (na * nh)
 }
 
 // OneShotTrain bundles every encoded example into its class prototype.
